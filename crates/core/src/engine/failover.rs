@@ -1,9 +1,10 @@
 //! Live rank failover for the N-device fabric.
 //!
-//! The plain rank drivers assume every device survives the whole run;
-//! [`run_ranks_recovering`] treats any fault as a whole-run retry. Real
-//! heterogeneous deployments lose or stall *one* rank far more often than
-//! all of them, so this driver maintains a live membership instead:
+//! The plain rank drivers assume every device survives the whole run.
+//! Real heterogeneous deployments lose or stall *one* rank far more often
+//! than all of them, so this driver maintains a live membership and
+//! launches the one CSB rank loop (`engine/rank.rs`) over it,
+//! with a checkpoint writer, a deadline and a watchdog:
 //!
 //! * **Liveness**: each rank ticks a [`Heartbeat`] at every phase
 //!   boundary, a watchdog thread polls those beacons against the configured
@@ -15,15 +16,16 @@
 //!   watchdog records the detection latency).
 //! * **Eviction & migration** (the default policy): the failed ranks are
 //!   evicted from the membership at the failure barrier `s*`. With one
-//!   survivor left, it hosts *every* current engine in lockstep with the
-//!   current assignment and replays to completion — bit-identical by
-//!   construction, including order-sensitive `f32` combiners. With two or
-//!   more survivors, the driver reconstructs the exact barrier state at
-//!   `s*` (catch-up replay under the old assignment when the newest common
-//!   snapshot is older), re-splits the dead ranks' partition over the
-//!   survivors proportionally to their shares, and continues live — so a
-//!   second (or third) failure later in the run cascades through the same
-//!   machinery onto any survivor subset.
+//!   survivor left, the driver relaunches the rank loop over the *old*
+//!   membership and assignment, faults disarmed, and replays to completion
+//!   — every engine reduces in its original order, so the result is
+//!   bit-identical by construction, including order-sensitive `f32`
+//!   combiners. With two or more survivors, the driver reconstructs the
+//!   exact barrier state at `s*` (the same relaunch, stopped at `s*`, when
+//!   the newest common snapshot is older), re-splits the dead ranks'
+//!   partition over the survivors proportionally to their shares, and
+//!   continues live — so a second (or third) failure later in the run
+//!   cascades through the same machinery onto any survivor subset.
 //! * **Verdict sync on link partitions**: when a *link* dies but both of
 //!   its ends are alive, exactly one deterministic side — the higher rank —
 //!   is evicted, so survivors re-anchor on the smallest live rank instead
@@ -37,142 +39,54 @@
 //! * **Rollback**: a dropped exchange (all parties observe it at the same
 //!   barrier) rolls every rank back to the newest common snapshot and
 //!   replays — bounded by the retry budget — instead of restarting the
-//!   whole run.
+//!   whole run. [`FailoverPolicy::Retry`] applies the same rollback to a
+//!   lost rank.
 //!
 //! The 2-device path is the N = 2 instance of this machinery, not a
 //! parallel implementation: [`run_hetero_failover`] simply forwards to
 //! [`run_ranks_failover`].
 //!
-//! [`run_ranks_recovering`]: crate::engine::hetero::run_ranks_recovering
+//! [`Heartbeat`]: phigraph_device::Heartbeat
 
 use crate::api::VertexProgram;
 use crate::engine::config::EngineConfig;
 use crate::engine::device::DeviceEngine;
-use crate::engine::flat::run_cap;
-use crate::engine::integrity::framed_exchange;
+use crate::engine::rank::{
+    agreed_cap, launch, merge_owned, Checkpointer, Exit, Launch, LoopOut, ResumePair,
+};
 use crate::engine::seq::run_seq_resume;
 use crate::metrics::{combine_ranks, RunOutput, RunReport, StepReport};
-use phigraph_comm::message::wire_bytes;
-use phigraph_comm::{combine_messages, mesh, Endpoint, ExchangeError, PcieLink, WireMsg};
-use phigraph_device::{CostModel, DeviceSpec, Heartbeat, StepCounters};
+use phigraph_comm::PcieLink;
+use phigraph_device::{DeviceSpec, StepCounters};
 use phigraph_graph::state::{decode_state_slice, encode_state_slice, PodState};
 use phigraph_graph::Csr;
 use phigraph_partition::{partition_n, DevicePartition, Shares};
 use phigraph_recover::{
-    CheckpointStore, FailoverConfig, FailoverPolicy, FailoverStats, FaultInjector, FaultKind,
-    IntegrityStats, RecoveryPolicy, RecoveryStats, Snapshot,
+    CheckpointStore, FailoverConfig, FailoverPolicy, FailoverStats, FaultKind, IntegrityStats,
+    RecoveryStats, Snapshot,
 };
-use phigraph_simd::MsgValue;
-use phigraph_trace::{HistKind, Phase, ThreadTracer, Trace};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use phigraph_trace::Phase;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Seed for straggler-driven re-partitioning (matches the CLI default).
 const REBALANCE_SEED: u64 = 7;
 
-/// Sentinel for "not detected" in the watchdog's latency slots.
-const UNDETECTED: u64 = u64::MAX;
-
-/// How one rank loop ended. `Hung` keeps every link endpoint alive inside
-/// the variant so peers observe a *silent* (timeout) failure rather than a
-/// dead channel — exactly the difference between a hang and a crash.
-enum LoopExit<M: Send> {
-    /// Global termination (or superstep cap) reached.
-    Done,
-    /// An injected `CrashDevice`/`CrashRank` fault: all endpoints torn down.
-    Crashed { step: usize },
-    /// An injected `HangDevice` fault: endpoints stay alive but silent.
-    Hung {
-        step: usize,
-        _keep_alive: Vec<Endpoint<WireMsg<M>>>,
-    },
-    /// A peer's endpoint disappeared (that peer crashed).
-    PeerDead { step: usize },
-    /// A peer went silent past the deadline (that peer hung).
-    PeerTimeout { step: usize, waited_ms: u64 },
-    /// The exchange was dropped on a link (both ends observe this).
-    ExchangeDrop { step: usize },
-    /// An injected `PartitionLink` severed the link to `high`; this end
-    /// (the lower rank, which armed the fault) names the pair so the
-    /// driver can evict the deterministic side.
-    LinkPartitioned { step: usize, low: u8, high: u8 },
-    /// Straggler threshold reached; all ranks leave at the same barrier.
-    Rebalance { step: usize },
-}
-
-/// Plain-data view of [`LoopExit`] (drops the kept-alive endpoints).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ExitKind {
-    Done,
-    Crashed(usize),
-    Hung(usize),
-    PeerDead(usize),
-    PeerTimeout(usize, u64),
-    ExchangeDrop(usize),
-    LinkPartitioned(usize, u8, u8),
-    Rebalance(usize),
-}
-
-impl<M: Send> LoopExit<M> {
-    fn kind(&self) -> ExitKind {
-        match self {
-            LoopExit::Done => ExitKind::Done,
-            LoopExit::Crashed { step } => ExitKind::Crashed(*step),
-            LoopExit::Hung { step, .. } => ExitKind::Hung(*step),
-            LoopExit::PeerDead { step } => ExitKind::PeerDead(*step),
-            LoopExit::PeerTimeout { step, waited_ms } => ExitKind::PeerTimeout(*step, *waited_ms),
-            LoopExit::ExchangeDrop { step } => ExitKind::ExchangeDrop(*step),
-            LoopExit::LinkPartitioned { step, low, high } => {
-                ExitKind::LinkPartitioned(*step, *low, *high)
-            }
-            LoopExit::Rebalance { step } => ExitKind::Rebalance(*step),
-        }
-    }
-}
-
-impl ExitKind {
-    /// Only a self-reported crash/hang marks the rank itself as lost;
-    /// `PeerDead`/`PeerTimeout` from healthy ranks are observations.
-    fn lost(&self) -> bool {
-        matches!(self, ExitKind::Crashed(_) | ExitKind::Hung(_))
-    }
-}
-
-/// Everything one rank loop hands back to the driver.
-struct LoopOut<P: VertexProgram> {
-    values: Vec<P::Value>,
-    flags: Vec<u8>,
-    steps: Vec<StepReport>,
-    exit: LoopExit<P::Msg>,
-    /// Whether a `SlowDevice` fault latched on this rank (persists across
-    /// restarts so the straggler stays slow after a rollback/rebalance).
-    slowed: bool,
-    /// Sum of the advertised (straggler-model) step times this attempt.
-    sim_adv_total: f64,
-    /// Frame-integrity counters from this rank's exchanges.
-    integ: IntegrityStats,
-}
-
-type ResumePair<V> = Option<(Vec<V>, Vec<u8>)>;
 type MergedState<V> = (usize, Vec<V>, Vec<u8>);
-/// Merged values, merged active flags, and per-rank step reports keyed by
-/// original rank id — what a lockstep replay hands back.
-type ReplayOut<V> = (Vec<V>, Vec<u8>, Vec<(usize, Vec<StepReport>)>);
 
 /// Encode and save one rank's barrier snapshot into its store, honoring
-/// the keep window and the `CorruptCheckpoint` injection site.
+/// the keep window and the `CorruptCheckpoint` injection site of the
+/// engine's own config.
 fn write_device_checkpoint<P: VertexProgram>(
     engine: &DeviceEngine<'_, P>,
+    rank: usize,
     step: usize,
     store: &Mutex<&mut dyn CheckpointStore>,
-    policy: &RecoveryPolicy,
-    injector: Option<&FaultInjector>,
-    dev: u8,
     c: &mut StepCounters,
 ) where
     P::Value: PodState,
 {
+    let policy = engine.config.recovery;
     let next_step = step as u64 + 1;
     let snap = Snapshot {
         superstep: next_step,
@@ -182,7 +96,12 @@ fn write_device_checkpoint<P: VertexProgram>(
         active: engine.active_flags().to_vec(),
     };
     let mut bytes = snap.encode();
-    if injector.is_some_and(|i| i.fire(step as u64, FaultKind::CorruptCheckpoint, dev)) {
+    let corrupt = engine
+        .config
+        .fault_plan
+        .as_ref()
+        .is_some_and(|i| i.fire(step as u64, FaultKind::CorruptCheckpoint, rank as u8));
+    if corrupt {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         let last = bytes.len() - 1;
@@ -222,14 +141,11 @@ where
         .filter(|s| lists.iter().all(|l| l.contains(s)))
         .collect();
     'barrier: for k in common.into_iter().rev() {
-        let mut merged: Option<(Vec<P::Value>, Vec<u8>)> = None;
+        let mut vals = Vec::with_capacity(membership.len());
+        let mut flags = Vec::with_capacity(membership.len());
         for &r in membership {
             let bytes = stores[r].lock().expect("checkpoint store poisoned").load(k);
-            let Ok(bytes) = bytes else {
-                rstats.corrupt_snapshots_rejected += 1;
-                continue 'barrier;
-            };
-            let Ok(s) = Snapshot::decode(&bytes) else {
+            let Some(s) = bytes.ok().and_then(|b| Snapshot::decode(&b).ok()) else {
                 rstats.corrupt_snapshots_rejected += 1;
                 continue 'barrier;
             };
@@ -237,29 +153,19 @@ where
                 && s.value_size as usize == P::Value::STATE_SIZE
                 && s.active.len() == n
                 && s.superstep == k;
-            if !valid {
-                rstats.corrupt_snapshots_rejected += 1;
-                continue 'barrier;
-            }
-            let Some(v) = decode_state_slice::<P::Value>(&s.values, n) else {
+            let decoded = decode_state_slice::<P::Value>(&s.values, n).filter(|_| valid);
+            let Some(v) = decoded else {
                 rstats.corrupt_snapshots_rejected += 1;
                 continue 'barrier;
             };
-            match &mut merged {
-                None => merged = Some((v, s.active)),
-                Some((vals, flags)) => {
-                    let rd = r as u8;
-                    for (x, val) in v.into_iter().enumerate() {
-                        if assign[x] == rd {
-                            vals[x] = val;
-                            flags[x] = s.active[x];
-                        }
-                    }
-                }
-            }
+            vals.push((r, v));
+            flags.push((r, s.active));
         }
-        let (vals, flags) = merged.expect("membership is never empty");
-        return Some((k as usize, vals, flags));
+        return Some((
+            k as usize,
+            merge_owned(vals, assign),
+            merge_owned(flags, assign),
+        ));
     }
     None
 }
@@ -293,560 +199,27 @@ fn reset_stores_with<P: VertexProgram>(
     }
 }
 
-/// One rank's superstep loop with liveness instrumentation. Mirrors the
-/// plain rank loop phase-for-phase (so a fault-free failover run computes
-/// exactly what `run_ranks` computes) and adds: heartbeat ticks at phase
-/// boundaries, step-start crash/hang/slow injection sites, link-partition
-/// arming on the lower end of each link, deadline-capable per-link
-/// exchanges, per-rank barrier snapshots, and symmetric straggler detection
-/// from the N-vector of step times piggybacked on every exchange.
-#[allow(clippy::too_many_arguments)]
-fn failover_rank_loop<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    assign: &[u8],
-    rank: usize,
-    spec: DeviceSpec,
-    config: EngineConfig,
-    eps: Vec<Endpoint<WireMsg<P::Msg>>>,
-    cap: usize,
-    start_step: usize,
-    resume: ResumePair<P::Value>,
-    store: &Mutex<&mut dyn CheckpointStore>,
-    fcfg: &FailoverConfig,
-    hb: Heartbeat,
-    finished: &AtomicBool,
-    slowed_in: bool,
-    rebalance_enabled: bool,
-    membership: &[usize],
-) -> LoopOut<P>
-where
-    P::Value: PodState,
-{
-    let dev = rank as u8;
-    let policy = config.recovery;
-    let cost = CostModel::new(spec.clone());
-    let mut engine = DeviceEngine::new(
-        program,
-        graph,
-        spec.clone(),
-        config.clone(),
-        dev,
-        Some(assign),
-    );
-    if let Some((vals, flags)) = resume {
-        engine.restore(vals, &flags);
-    }
-    let tracer = config.tracer(&format!("dev{dev}"), dev as u32 * 1000);
-    let deadline = fcfg.deadline();
-    let my_pos = membership
-        .iter()
-        .position(|&r| r == rank)
-        .expect("rank not in its own membership");
-    // Destination rank -> outgoing link index (links are peer-ascending).
-    let max_peer = eps.iter().map(|e| e.peer).max().unwrap_or(0);
-    let mut bucket_of = vec![usize::MAX; max_peer + 1];
-    for (i, ep) in eps.iter().enumerate() {
-        bucket_of[ep.peer] = i;
-    }
-    let mut steps: Vec<StepReport> = Vec::new();
-    let mut slowed = slowed_in;
-    let mut prev_adv = 0.0f64;
-    let mut base_times: Option<Vec<f64>> = None;
-    let mut consec_slow = 0u32;
-    let mut sim_adv_total = 0.0f64;
-    let mut integ = IntegrityStats::default();
-    let mut exit = LoopExit::Done;
-
-    let mut step = start_step;
-    'run: while step < cap {
-        hb.tick();
-        let mut hb_count = 1u64;
-        if let Some(inj) = &config.fault_plan {
-            if inj.fire(step as u64, FaultKind::CrashDevice, dev)
-                || inj.fire(step as u64, FaultKind::CrashRank(dev), 0)
-            {
-                // Fail-stop: tear every endpoint down so each peer's next
-                // exchange observes a dead channel.
-                drop(eps);
-                exit = LoopExit::Crashed { step };
-                break 'run;
-            }
-            if inj.fire(step as u64, FaultKind::HangDevice, dev) {
-                // Hang: the rank goes silent but its endpoints stay
-                // alive; only a deadline can tell this apart from "slow".
-                exit = LoopExit::Hung {
-                    step,
-                    _keep_alive: eps,
-                };
-                break 'run;
-            }
-            if inj.fire(step as u64, FaultKind::SlowDevice, dev) {
-                slowed = true;
-            }
-        }
-        let t0 = Instant::now();
-        let _step_span = tracer.span(Phase::Superstep, step as u32);
-        let mut c = engine.begin_step();
-        let remote = {
-            let _g = tracer.span(Phase::Generate, step as u32);
-            engine.generate(&mut c)
-        };
-        hb.tick();
-        hb_count += 1;
-        c.remote_before_combine = remote.len() as u64;
-        // Bucket by destination rank (generation order preserved within a
-        // bucket), then combine per link — the N = 2 case is exactly the
-        // old single-peer combine.
-        let mut buckets: Vec<Vec<WireMsg<P::Msg>>> = (0..eps.len()).map(|_| Vec::new()).collect();
-        for msg in remote {
-            buckets[bucket_of[assign[msg.dst as usize] as usize]].push(msg);
-        }
-        let mut outgoing: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
-        for b in buckets {
-            let (combined, _) = combine_messages::<P::Msg, P::Reduce>(b);
-            c.remote_after_combine += combined.len() as u64;
-            outgoing.push(combined);
-        }
-        // Arm injected link faults before exchanging. A partition is armed
-        // by the lower end of the link (fire-once, so exactly one side
-        // arms) and remembered so the resulting drop is attributed to the
-        // partition, not a generic exchange fault.
-        let mut partitioned: Option<usize> = None;
-        if let Some(inj) = &config.fault_plan {
-            if inj.fire(step as u64, FaultKind::DropExchange, dev) {
-                eps[0].inject_fault();
-            }
-            for ep in &eps {
-                if ep.peer > rank
-                    && inj.fire(
-                        step as u64,
-                        FaultKind::partition_link(dev, ep.peer as u8),
-                        0,
-                    )
-                {
-                    ep.inject_fault();
-                    partitioned = Some(ep.peer);
-                }
-            }
-        }
-        let my_any = c.msgs_total() > 0;
-        let x0 = Instant::now();
-        let xspan = tracer.span(Phase::Exchange, step as u32);
-        let mut incoming_all: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
-        let mut peer_any = false;
-        let mut peer_times: Vec<(usize, f64)> = Vec::with_capacity(eps.len());
-        let mut comm_time = 0.0f64;
-        let mut fail: Option<LoopExit<P::Msg>> = None;
-        for (ep, out) in eps.iter().zip(outgoing) {
-            let bytes_out = wire_bytes::<P::Msg>(out.len());
-            let res = framed_exchange(
-                ep,
-                out,
-                bytes_out,
-                my_any,
-                prev_adv,
-                Some(deadline),
-                step as u64,
-                dev,
-                config.integrity,
-                config.fault_plan.as_ref(),
-                &mut integ,
-            );
-            match res {
-                Ok((incoming, peer, xstats)) => {
-                    peer_any |= peer.any_active;
-                    peer_times.push((ep.peer, peer.step_time));
-                    c.comm_bytes += xstats.bytes_sent + xstats.bytes_recv;
-                    comm_time += xstats.sim_time;
-                    incoming_all.push(incoming);
-                }
-                Err(ExchangeError::Dropped(_)) => {
-                    fail = Some(if partitioned == Some(ep.peer) {
-                        LoopExit::LinkPartitioned {
-                            step,
-                            low: dev,
-                            high: ep.peer as u8,
-                        }
-                    } else {
-                        LoopExit::ExchangeDrop { step }
-                    });
-                    break;
-                }
-                Err(ExchangeError::Timeout(t)) => {
-                    fail = Some(LoopExit::PeerTimeout {
-                        step,
-                        waited_ms: t.waited_ms,
-                    });
-                    break;
-                }
-                Err(ExchangeError::PeerDead) => {
-                    fail = Some(LoopExit::PeerDead { step });
-                    break;
-                }
-            }
-        }
-        drop(xspan);
-        config.record_hist(HistKind::ExchangeRttUs, x0.elapsed().as_micros() as u64);
-        hb.tick();
-        hb_count += 1;
-        if let Some(f) = fail {
-            exit = f;
-            break 'run;
-        }
-        {
-            let _i = tracer.span(Phase::Insert, step as u32);
-            for incoming in &incoming_all {
-                engine.absorb_remote(incoming, &mut c);
-            }
-            engine.finalize_insertion_stats(&mut c);
-        }
-        {
-            let _p = tracer.span(Phase::Process, step as u32);
-            engine.process(&mut c);
-        }
-        {
-            let _u = tracer.span(Phase::Update, step as u32);
-            engine.update(&mut c);
-        }
-        hb.tick();
-        hb_count += 1;
-        c.heartbeats = hb_count;
-
-        let vectorized = config.vectorized && P::SIMD_REDUCIBLE;
-        let times = cost.step_times(&c, config.gen_mode(&spec), P::Msg::SIZE, vectorized);
-        // Advertised step time: the simulated compute time, inflated by the
-        // straggler model when a SlowDevice fault has latched.
-        let adv = times.total * if slowed { fcfg.slow_time_factor } else { 1.0 };
-        sim_adv_total += adv;
-
-        // Symmetric straggler detection: at this barrier every rank saw the
-        // identical N-vector of previous-step times (its own plus each
-        // peer's piggybacked advertisement), so all ranks maintain the same
-        // consecutive-slow counter and leave at the same barrier when it
-        // trips. The devices are *naturally* asymmetric, so raw times are
-        // useless — the first fully-populated barrier calibrates the
-        // healthy per-rank baselines, and a straggler is a max/min drift of
-        // the normalized times beyond `slow_factor`. The N = 2 drift
-        // equals the old pairwise `max(cur/base, base/cur)`.
-        if rebalance_enabled && fcfg.rebalance_after > 0 {
-            let mut t = vec![0.0f64; membership.len()];
-            t[my_pos] = prev_adv;
-            for &(peer, pt) in &peer_times {
-                if let Some(i) = membership.iter().position(|&r| r == peer) {
-                    t[i] = pt;
-                }
-            }
-            if t.iter().all(|&x| x > 0.0) {
-                match &base_times {
-                    None => base_times = Some(t),
-                    Some(base) => {
-                        let mut lo = f64::INFINITY;
-                        let mut hi = 0.0f64;
-                        for (x, b) in t.iter().zip(base) {
-                            let norm = x / b;
-                            lo = lo.min(norm);
-                            hi = hi.max(norm);
-                        }
-                        if hi / lo > fcfg.slow_factor {
-                            consec_slow += 1;
-                        } else {
-                            consec_slow = 0;
-                        }
-                    }
-                }
-            }
-        }
-        prev_adv = adv;
-
-        // The barrier after update is the consistency point: snapshot the
-        // state step `step + 1` will start from, into this rank's store.
-        if policy.is_checkpoint_step(step as u64 + 1) {
-            let ck0 = Instant::now();
-            let _ck = tracer.span(Phase::Checkpoint, step as u32);
-            write_device_checkpoint(
-                &engine,
-                step,
-                store,
-                &policy,
-                config.fault_plan.as_ref(),
-                dev,
-                &mut c,
-            );
-            config.record_hist(
-                HistKind::CheckpointWriteUs,
-                ck0.elapsed().as_micros() as u64,
-            );
-        }
-        c.gen_chunks.clear();
-        c.proc_chunks.clear();
-        steps.push(StepReport {
-            step,
-            times,
-            comm_time,
-            wall: t0.elapsed().as_secs_f64(),
-            counters: c,
-        });
-
-        // Global termination: nobody generated messages this superstep.
-        if !my_any && !peer_any {
-            break 'run;
-        }
-        if rebalance_enabled && fcfg.rebalance_after > 0 && consec_slow >= fcfg.rebalance_after {
-            exit = LoopExit::Rebalance { step };
-            break 'run;
-        }
-        step += 1;
-    }
-
-    // A rank that crashed or hung never reports itself finished — that is
-    // exactly the silence the watchdog is built to notice.
-    if !matches!(exit, LoopExit::Crashed { .. } | LoopExit::Hung { .. }) {
-        finished.store(true, Ordering::Release);
-    }
-    let flags = engine.active_flags().to_vec();
-    LoopOut {
-        values: engine.values,
-        flags,
-        steps,
-        exit,
-        slowed,
-        sim_adv_total,
-        integ,
-    }
-}
-
-/// The watchdog: polls every rank's heartbeat against the deadline and
-/// records the detection latency (milliseconds past the deadline) for any
-/// rank that goes silent without reporting itself finished.
-fn watchdog_loop(
-    hb: &[Heartbeat],
-    finished: &[AtomicBool],
-    stop: &AtomicBool,
-    deadline: Duration,
-    detected: &[AtomicU64],
+/// Fold one launch into the driver's state: each rank's step reports
+/// replace its reports from `from` on, its integrity counters are added to
+/// `istats`, and the values and active flags are merged by `assign`.
+fn splice<P: VertexProgram>(
+    outs: Vec<LoopOut<P>>,
     ranks: &[usize],
-    trace: Option<&Trace>,
-) {
-    let tracer = match trace {
-        Some(t) => t.thread("watchdog", 9000),
-        None => ThreadTracer::disabled(),
-    };
-    let poll = (deadline / 8).clamp(Duration::from_millis(1), Duration::from_millis(25));
-    while !stop.load(Ordering::Acquire) {
-        let sweep0 = tracer.now_ns();
-        for (d, h) in hb.iter().enumerate() {
-            if finished[d].load(Ordering::Acquire)
-                || detected[d].load(Ordering::Acquire) != UNDETECTED
-            {
-                continue;
-            }
-            if h.is_stalled(deadline) {
-                let lat = h.since_last().saturating_sub(deadline).as_millis() as u64;
-                detected[d].store(lat, Ordering::Release);
-                // One Watchdog span per detection (the sweep that noticed
-                // the silence), tagged with the dead rank's id.
-                tracer.record_closing(Phase::Watchdog, ranks[d] as u32, sweep0);
-                if let Some(t) = trace {
-                    t.record_hist(HistKind::WatchdogLatencyMs, lat);
-                }
-            }
-        }
-        std::thread::sleep(poll);
-    }
-}
-
-/// Lockstep replay of an arbitrary membership on one host. Every
-/// `membership` rank's engine runs with its original spec/config and the
-/// given assignment, restored from the merged barrier state; messages are
-/// bucketed and combined per (source, destination) pair exactly as the
-/// live per-link exchange does. Every per-engine operation (generation
-/// order, per-destination combine, CSB insertion, reduction) is identical
-/// to the healthy multi-thread run, so the replay is bit-identical by
-/// construction — including order-sensitive floating-point combiners.
-/// Simulated exchange time is reproduced from the same per-link byte
-/// counts through the same link model.
-///
-/// With `stop_step = None` the replay runs to completion (terminal
-/// single-survivor migration); with `Some(s)` it stops at the barrier
-/// *before* step `s` (catch-up reconstruction for an elastic eviction).
-/// Returns the merged values, merged active flags, and the per-rank step
-/// reports keyed by original rank id.
-#[allow(clippy::too_many_arguments)]
-fn replay_lockstep_n<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
+    from: usize,
     assign: &[u8],
-    membership: &[usize],
-    specs: &[DeviceSpec],
-    configs: &[EngineConfig],
-    link: PcieLink,
-    start_step: usize,
-    stop_step: Option<usize>,
-    resume: ResumePair<P::Value>,
-    stores: &[Mutex<&mut dyn CheckpointStore>],
-    cap: usize,
-    tracer: &ThreadTracer,
-) -> ReplayOut<P::Value>
-where
-    P::Value: PodState,
-{
-    let m = membership.len();
-    let cost: Vec<CostModel> = membership
-        .iter()
-        .map(|&r| CostModel::new(specs[r].clone()))
-        .collect();
-    let mut engines: Vec<DeviceEngine<'_, P>> = membership
-        .iter()
-        .map(|&r| {
-            DeviceEngine::new(
-                program,
-                graph,
-                specs[r].clone(),
-                configs[r].clone(),
-                r as u8,
-                Some(assign),
-            )
-        })
-        .collect();
-    if let Some((vals, flags)) = resume {
-        for e in &mut engines {
-            e.restore(vals.clone(), &flags);
-        }
+    dev_steps: &mut [Vec<StepReport>],
+    istats: &mut IntegrityStats,
+) -> (Vec<P::Value>, Vec<u8>) {
+    let mut vals = Vec::with_capacity(outs.len());
+    let mut flags = Vec::with_capacity(outs.len());
+    for (o, &r) in outs.into_iter().zip(ranks) {
+        istats.accumulate(&o.integ);
+        dev_steps[r].retain(|s| s.step < from);
+        dev_steps[r].extend(o.steps);
+        vals.push((r, o.values));
+        flags.push((r, o.flags));
     }
-    let policy = configs[membership[0]].recovery;
-    let mut pos_of = vec![usize::MAX; membership.iter().copied().max().unwrap_or(0) + 1];
-    for (i, &r) in membership.iter().enumerate() {
-        pos_of[r] = i;
-    }
-    let mut steps: Vec<Vec<StepReport>> = vec![Vec::new(); m];
-    let stop = stop_step.unwrap_or(cap);
-
-    for step in start_step..stop {
-        let t0 = Instant::now();
-        let _replay_span = tracer.span(Phase::Replay, step as u32);
-        let mut counters: Vec<StepCounters> = Vec::with_capacity(m);
-        let mut remotes: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(m);
-        for e in engines.iter_mut() {
-            let mut c = e.begin_step();
-            let r = e.generate(&mut c);
-            c.remote_before_combine = r.len() as u64;
-            counters.push(c);
-            remotes.push(r);
-        }
-        // Bucket and combine per (source, destination) pair — the same
-        // per-link payloads the live loop exchanges (the self bucket is
-        // empty by construction).
-        let mut out: Vec<Vec<Vec<WireMsg<P::Msg>>>> = Vec::with_capacity(m);
-        for (i, remote) in remotes.into_iter().enumerate() {
-            let mut buckets: Vec<Vec<WireMsg<P::Msg>>> = (0..m).map(|_| Vec::new()).collect();
-            for msg in remote {
-                buckets[pos_of[assign[msg.dst as usize] as usize]].push(msg);
-            }
-            let mut row = Vec::with_capacity(m);
-            for b in buckets {
-                let (combined, _) = combine_messages::<P::Msg, P::Reduce>(b);
-                counters[i].remote_after_combine += combined.len() as u64;
-                row.push(combined);
-            }
-            out.push(row);
-        }
-        // Per-rank simulated comm: one link traversal per peer, the same
-        // byte counts and link model as the live per-link exchange.
-        let mut comm_times = vec![0.0f64; m];
-        for i in 0..m {
-            let mut bytes = 0u64;
-            let mut t = 0.0f64;
-            for (j, row_j) in out.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let bo = wire_bytes::<P::Msg>(out[i][j].len());
-                let bi = wire_bytes::<P::Msg>(row_j[i].len());
-                bytes += bo + bi;
-                t += link.exchange_time(bo, bi);
-            }
-            counters[i].comm_bytes = bytes;
-            comm_times[i] = t;
-        }
-        // Absorb in ascending peer order (the live loop's link order),
-        // then the per-engine tail phases.
-        for i in 0..m {
-            let c = &mut counters[i];
-            for (j, row) in out.iter().enumerate() {
-                if j != i {
-                    engines[i].absorb_remote(&row[i], c);
-                }
-            }
-            engines[i].finalize_insertion_stats(c);
-            engines[i].process(c);
-            engines[i].update(c);
-            // Report parity with the live loop's four phase-boundary ticks.
-            c.heartbeats = 4;
-        }
-
-        if policy.is_checkpoint_step(step as u64 + 1) {
-            for (i, &r) in membership.iter().enumerate() {
-                write_device_checkpoint(
-                    &engines[i],
-                    step,
-                    &stores[r],
-                    &policy,
-                    None,
-                    r as u8,
-                    &mut counters[i],
-                );
-            }
-        }
-
-        let wall = t0.elapsed().as_secs_f64();
-        let mut all_quiet = true;
-        for (i, mut c) in counters.into_iter().enumerate() {
-            let r = membership[i];
-            if c.msgs_total() > 0 {
-                all_quiet = false;
-            }
-            let vectorized = configs[r].vectorized && P::SIMD_REDUCIBLE;
-            let times =
-                cost[i].step_times(&c, configs[r].gen_mode(&specs[r]), P::Msg::SIZE, vectorized);
-            c.gen_chunks.clear();
-            c.proc_chunks.clear();
-            steps[i].push(StepReport {
-                step,
-                times,
-                comm_time: comm_times[i],
-                wall,
-                counters: c,
-            });
-        }
-        if all_quiet {
-            break;
-        }
-    }
-
-    let mut merged: Option<(Vec<P::Value>, Vec<u8>)> = None;
-    for (i, e) in engines.into_iter().enumerate() {
-        let f = e.active_flags().to_vec();
-        let v = e.values;
-        match &mut merged {
-            None => merged = Some((v, f)),
-            Some((vals, flags)) => {
-                let rd = membership[i] as u8;
-                for (x, val) in v.into_iter().enumerate() {
-                    if assign[x] == rd {
-                        vals[x] = val;
-                        flags[x] = f[x];
-                    }
-                }
-            }
-        }
-    }
-    let (values, flags) = merged.expect("membership is never empty");
-    (
-        values,
-        flags,
-        membership.iter().copied().zip(steps).collect(),
-    )
+    (merge_owned(vals, assign), merge_owned(flags, assign))
 }
 
 /// Run `program` across an N-rank device fabric with live failover.
@@ -894,12 +267,18 @@ where
         "partition names a rank outside the fabric"
     );
     let policy = configs[0].recovery;
-    let cap = run_cap(
-        program.max_supersteps(),
-        configs.iter().filter_map(|c| c.max_supersteps).min(),
-    );
+    let cap = agreed_cap(program, configs);
     let stores: Vec<Mutex<&mut dyn CheckpointStore>> = stores.into_iter().map(Mutex::new).collect();
-    let deadline = fcfg.deadline();
+    let write_ckpt: &Checkpointer<'_, P> =
+        &|r, engine, step, c| write_device_checkpoint(engine, r, step, &stores[r], c);
+    // Migration replays relaunch the rank loop with every fault disarmed.
+    let disarmed: Vec<EngineConfig> = configs
+        .iter()
+        .map(|c| EngineConfig {
+            fault_plan: None,
+            ..c.clone()
+        })
+        .collect();
 
     let mut fstats = FailoverStats::default();
     let mut rstats = RecoveryStats::default();
@@ -913,8 +292,8 @@ where
     let mut rebalance_enabled = true;
     let mut retry = 0u32;
     let mut last_resume: Option<usize> = None;
-    // Driver-thread track: migration replays and rebalances happen here,
-    // outside any rank loop.
+    // Driver-thread track: migrations and rebalances happen here, outside
+    // any rank loop.
     let drv_tracer = configs[0].tracer("driver", 900);
     let wall_start = Instant::now();
 
@@ -1004,108 +383,68 @@ where
         }};
     }
 
+    // Transient-fault model: roll every rank back to the newest common
+    // barrier and retry in lock-step with the membership unchanged, or
+    // degrade to `$survivor` once the retry budget is spent.
+    macro_rules! roll_back {
+        ($survivor:expr) => {{
+            rstats.rollbacks += 1;
+            if retry >= policy.max_retries {
+                degrade_seq!($survivor);
+            }
+            retry += 1;
+            rstats.retries += 1;
+            let backoff = policy.backoff_ms(retry - 1);
+            if backoff > 0 {
+                std::thread::sleep(Duration::from_millis(backoff));
+            }
+            let (k, state) = match load_merged::<P>(&stores, &live, &part.assign, &mut rstats) {
+                Some((k, vals, flags)) => (k, Some((vals, flags))),
+                None => (0, None),
+            };
+            start_step = k;
+            resume_state = state;
+            last_resume = Some(k);
+            continue;
+        }};
+    }
+
     loop {
-        let assign_now = part.assign.clone();
-        let m = live.len();
-        let hb: Vec<Heartbeat> = (0..m).map(|_| Heartbeat::new()).collect();
-        let finished: Vec<AtomicBool> = (0..m).map(|_| AtomicBool::new(false)).collect();
-        let detected: Vec<AtomicU64> = (0..m).map(|_| AtomicU64::new(UNDETECTED)).collect();
-        let stop = AtomicBool::new(false);
-        let sides = mesh::<WireMsg<P::Msg>>(link, &live);
-        let mut resume_now = resume_state.take();
-
-        let outs: Vec<LoopOut<P>> = std::thread::scope(|s| {
-            let assign = &assign_now;
-            let membership = &live;
-            let stores_ref = &stores;
-            let finished_ref = &finished;
-            let handles: Vec<_> = sides
-                .into_iter()
-                .enumerate()
-                .map(|(i, eps)| {
-                    let r = membership[i];
-                    let spec = specs[r].clone();
-                    let config = configs[r].clone();
-                    let hb_i = hb[i].clone();
-                    let resume_i = if i + 1 == m {
-                        resume_now.take()
-                    } else {
-                        resume_now.clone()
-                    };
-                    let slowed_i = slowed[r];
-                    s.spawn(move || {
-                        failover_rank_loop(
-                            program,
-                            graph,
-                            assign,
-                            r,
-                            spec,
-                            config,
-                            eps,
-                            cap,
-                            start_step,
-                            resume_i,
-                            &stores_ref[r],
-                            fcfg,
-                            hb_i,
-                            &finished_ref[i],
-                            slowed_i,
-                            rebalance_enabled,
-                            membership,
-                        )
-                    })
-                })
-                .collect();
-            let w = s.spawn(|| {
-                watchdog_loop(
-                    &hb,
-                    &finished,
-                    &stop,
-                    deadline,
-                    &detected,
-                    membership,
-                    configs[0].trace.as_ref(),
-                )
-            });
-            let outs: Vec<LoopOut<P>> = handles
-                .into_iter()
-                .map(|h| h.join().expect("rank loop panicked"))
-                .collect();
-            stop.store(true, Ordering::Release);
-            w.join().expect("watchdog panicked");
-            outs
-        });
-
-        // Plain-data exits; splice this attempt's step reports in and keep
-        // the per-rank state the driver needs after the scope.
-        let mut exits: Vec<ExitKind> = Vec::with_capacity(m);
-        let mut vals_out: Vec<Vec<P::Value>> = Vec::with_capacity(m);
-        let mut flags_out: Vec<Vec<u8>> = Vec::with_capacity(m);
-        let mut sim_adv: Vec<f64> = Vec::with_capacity(m);
-        for (i, o) in outs.into_iter().enumerate() {
-            let r = live[i];
-            exits.push(o.exit.kind());
+        let outs = launch(
+            &Launch {
+                program,
+                graph,
+                assign: Some(&part.assign),
+                ranks: &live,
+                specs,
+                configs,
+                link,
+                cap,
+                start_step,
+                checkpoint: Some(write_ckpt),
+                fcfg: Some(fcfg),
+                rebalance: rebalance_enabled,
+                slowed: &slowed,
+            },
+            resume_state.take(),
+        );
+        let exits: Vec<Exit> = outs.iter().map(|o| o.exit).collect();
+        let mut sim_adv: Vec<f64> = Vec::with_capacity(outs.len());
+        for (o, &r) in outs.iter().zip(&live) {
             slowed[r] = o.slowed;
-            istats.accumulate(&o.integ);
             sim_adv.push(o.sim_adv_total);
-            dev_steps[r].retain(|s| s.step < start_step);
-            dev_steps[r].extend(o.steps);
-            vals_out.push(o.values);
-            flags_out.push(o.flags);
-        }
-
-        // Watchdog bookkeeping: record the detection latency for every
-        // rank that actually went silent (final sweep covers the race
-        // where all loops returned before the poller's next pass).
-        for (i, e) in exits.iter().enumerate() {
-            if e.lost() {
-                let lat = match detected[i].load(Ordering::Acquire) {
-                    UNDETECTED => hb[i].since_last().saturating_sub(deadline).as_millis() as u64,
-                    l => l,
-                };
+            if let Some(lat) = o.detect_ms {
                 fstats.watchdog_latency_ms = fstats.watchdog_latency_ms.max(lat);
             }
         }
+        let (values, flags) = splice(
+            outs,
+            &live,
+            start_step,
+            &part.assign,
+            &mut dev_steps,
+            &mut istats,
+        );
 
         // Eviction verdict: self-reported crash/hang exits mark their rank
         // lost; otherwise a reported link partition evicts exactly its
@@ -1114,29 +453,29 @@ where
         // ranks never evict anyone on their own.
         let lost: Vec<usize> = exits
             .iter()
-            .enumerate()
-            .filter(|(_, e)| e.lost())
-            .map(|(i, _)| live[i])
+            .zip(&live)
+            .filter(|(e, _)| e.lost())
+            .map(|(_, &r)| r)
             .collect();
         let linkpart = exits.iter().find_map(|e| match e {
-            ExitKind::LinkPartitioned(s, _, hi) => Some((*s, *hi as usize)),
+            Exit::LinkPartitioned(s, _, hi) => Some((*s, *hi as usize)),
             _ => None,
         });
         let evict: Option<(Vec<usize>, usize)> = if !lost.is_empty() {
             let mut s_star = usize::MAX;
             for e in &exits {
                 match e {
-                    ExitKind::Crashed(s) => {
+                    Exit::Crashed(s) => {
                         fstats.crash_detections += 1;
                         rstats.faults_injected += 1;
                         s_star = s_star.min(*s);
                     }
-                    ExitKind::Hung(s) => {
+                    Exit::Hung(s) => {
                         fstats.hang_detections += 1;
                         rstats.faults_injected += 1;
                         s_star = s_star.min(*s);
                     }
-                    ExitKind::PeerTimeout(..) => fstats.exchange_timeouts += 1,
+                    Exit::PeerTimeout(..) => fstats.exchange_timeouts += 1,
                     _ => {}
                 }
             }
@@ -1168,147 +507,88 @@ where
                         fstats.evicted_ranks |= 1u64 << r;
                     }
                     let merged = load_merged::<P>(&stores, &live, &part.assign, &mut rstats);
-                    let (k, pair) = match merged {
+                    let (k, mut state) = match merged {
                         Some((k, vals, flags)) => (k, Some((vals, flags))),
                         None => (0, None),
                     };
                     last_resume = Some(k);
-                    if survivors.len() == 1 {
-                        // Terminal: the lone survivor hosts every current
-                        // engine in lockstep with the *current* assignment
-                        // so each engine half reduces in its original
-                        // order — that is what makes the result
-                        // bit-identical.
-                        fstats.degraded_single = true;
-                        let _mig = drv_tracer.span(Phase::Migrate, k as u32);
-                        let (values, _flags, replay) = replay_lockstep_n(
-                            program,
-                            graph,
-                            &part.assign,
-                            &live,
-                            specs,
-                            configs,
-                            link,
-                            k,
-                            None,
-                            pair,
-                            &stores,
-                            cap,
-                            &drv_tracer,
+                    // Terminal: a lone survivor relaunches every current
+                    // engine under the *current* assignment to the end, so
+                    // each engine reduces in its original order — that is
+                    // what makes the result bit-identical. Elastic: two or
+                    // more survivors reconstruct the exact barrier state at
+                    // s* the same way (stopping at s*) when the newest
+                    // common snapshot is older, then re-split the dead
+                    // ranks' partition and continue live — later failures
+                    // cascade through this same arm.
+                    let terminal = survivors.len() == 1;
+                    let _mig =
+                        drv_tracer.span(Phase::Migrate, (if terminal { k } else { s_star }) as u32);
+                    if terminal || k < s_star {
+                        let outs = launch(
+                            &Launch {
+                                program,
+                                graph,
+                                assign: Some(&part.assign),
+                                ranks: &live,
+                                specs,
+                                configs: &disarmed,
+                                link,
+                                cap: if terminal { cap } else { s_star },
+                                start_step: k,
+                                checkpoint: Some(write_ckpt),
+                                fcfg: None,
+                                rebalance: false,
+                                slowed: &[],
+                            },
+                            state,
                         );
-                        for (r, rs) in replay {
-                            dev_steps[r].retain(|s| s.step < k);
-                            dev_steps[r].extend(rs);
+                        debug_assert!(outs.iter().all(|o| o.exit == Exit::Done));
+                        let (vals, flags) =
+                            splice(outs, &live, k, &part.assign, &mut dev_steps, &mut istats);
+                        if terminal {
+                            fstats.degraded_single = true;
+                            return finish(
+                                dev_steps,
+                                vals,
+                                rstats,
+                                fstats,
+                                istats,
+                                last_resume,
+                                wall_start.elapsed().as_secs_f64(),
+                            );
                         }
-                        return finish(
-                            dev_steps,
-                            values,
-                            rstats,
-                            fstats,
-                            istats,
-                            last_resume,
-                            wall_start.elapsed().as_secs_f64(),
-                        );
+                        state = Some((vals, flags));
                     }
-                    // Elastic: two or more survivors. Reconstruct the exact
-                    // barrier state at the failure step s* (catch-up replay
-                    // under the old assignment when the newest common
-                    // snapshot is older), then re-split the dead ranks'
-                    // partition over the survivors and continue live —
-                    // later failures cascade through this same arm.
-                    let _mig = drv_tracer.span(Phase::Migrate, s_star as u32);
-                    let caught_up: ResumePair<P::Value> = if k < s_star {
-                        let (v, f, replay) = replay_lockstep_n(
-                            program,
-                            graph,
-                            &part.assign,
-                            &live,
-                            specs,
-                            configs,
-                            link,
-                            k,
-                            Some(s_star),
-                            pair,
-                            &stores,
-                            cap,
-                            &drv_tracer,
-                        );
-                        for (r, rs) in replay {
-                            dev_steps[r].retain(|s| s.step < k);
-                            dev_steps[r].extend(rs);
-                        }
-                        Some((v, f))
-                    } else {
-                        pair
-                    };
                     part = part.redistribute(&evict_set, &survivors);
                     live = survivors;
                     start_step = s_star;
-                    match caught_up {
+                    // Older snapshots were written under the stale
+                    // assignment: replace them with the barrier state the
+                    // survivors resume from (none when the failure struck
+                    // at step 0 before any snapshot: restart fresh).
+                    match &state {
                         Some((vals, flags)) => {
-                            // Older snapshots were written under the stale
-                            // assignment: replace them with the barrier
-                            // state the survivors resume from.
-                            reset_stores_with::<P>(&stores, &live, s_star, &vals, &flags);
-                            resume_state = Some((vals, flags));
+                            reset_stores_with::<P>(&stores, &live, s_star, vals, flags)
                         }
                         None => {
-                            // Failure at step 0 before any snapshot:
-                            // restart fresh on the survivor subset.
                             for &r in &live {
                                 let mut st = stores[r].lock().expect("checkpoint store poisoned");
                                 for key in st.list() {
                                     let _ = st.remove(key);
                                 }
                             }
-                            resume_state = None;
                         }
                     }
+                    resume_state = state;
                     continue;
                 }
-                FailoverPolicy::Retry => {
-                    // Transient-fault model: roll every rank back to the
-                    // newest common barrier and retry in lock-step with the
-                    // membership unchanged.
-                    rstats.rollbacks += 1;
-                    if retry >= policy.max_retries {
-                        degrade_seq!(survivors[0]);
-                    }
-                    retry += 1;
-                    rstats.retries += 1;
-                    let backoff = policy.backoff_ms(retry - 1);
-                    if backoff > 0 {
-                        std::thread::sleep(Duration::from_millis(backoff));
-                    }
-                    match load_merged::<P>(&stores, &live, &part.assign, &mut rstats) {
-                        Some((k, vals, flags)) => {
-                            start_step = k;
-                            resume_state = Some((vals, flags));
-                            last_resume = Some(k);
-                        }
-                        None => {
-                            start_step = 0;
-                            resume_state = None;
-                            last_resume = Some(0);
-                        }
-                    }
-                    continue;
-                }
+                FailoverPolicy::Retry => roll_back!(survivors[0]),
                 FailoverPolicy::Off => degrade_seq!(survivors[0]),
             }
         }
 
-        if exits.iter().all(|e| matches!(e, ExitKind::Done)) {
-            let mut it = vals_out.into_iter();
-            let mut values = it.next().expect("at least one rank");
-            for (i, v) in it.enumerate() {
-                let rd = live[i + 1] as u8;
-                for (x, val) in v.into_iter().enumerate() {
-                    if assign_now[x] == rd {
-                        values[x] = val;
-                    }
-                }
-            }
+        if exits.iter().all(|e| *e == Exit::Done) {
             return finish(
                 dev_steps,
                 values,
@@ -1320,31 +600,16 @@ where
             );
         }
 
-        if exits.iter().all(|e| matches!(e, ExitKind::Rebalance(_))) {
-            let sr = match exits[0] {
-                ExitKind::Rebalance(s) => s,
-                _ => unreachable!(),
+        if exits.iter().all(|e| matches!(e, Exit::Rebalance(_))) {
+            let Exit::Rebalance(sr) = exits[0] else {
+                unreachable!()
             };
             debug_assert!(
-                exits
-                    .iter()
-                    .all(|e| matches!(e, ExitKind::Rebalance(s) if *s == sr)),
+                exits.iter().all(|e| *e == Exit::Rebalance(sr)),
                 "rebalance barriers must agree: {exits:?}"
             );
             let _rb = drv_tracer.span(Phase::Rebalance, sr as u32);
             fstats.rebalances += 1;
-            // Merge live state at the barrier under the old assignment.
-            let mut it = vals_out.into_iter().zip(flags_out);
-            let (mut vals, mut flags) = it.next().expect("at least one rank");
-            for (i, (v, f)) in it.enumerate() {
-                let rd = live[i + 1] as u8;
-                for (x, val) in v.into_iter().enumerate() {
-                    if assign_now[x] == rd {
-                        vals[x] = val;
-                        flags[x] = f[x];
-                    }
-                }
-            }
             // New shares proportional to the live ranks' observed
             // throughputs (dead ranks keep a zero share); re-derive the
             // partition with the same scheme.
@@ -1359,41 +624,19 @@ where
             // Older snapshots were written under the stale assignment:
             // replace them with the merged barrier state.
             start_step = sr + 1;
-            reset_stores_with::<P>(&stores, &live, start_step, &vals, &flags);
-            resume_state = Some((vals, flags));
+            reset_stores_with::<P>(&stores, &live, start_step, &values, &flags);
+            resume_state = Some((values, flags));
             rebalance_enabled = false; // one rebalance per run
             continue;
         }
 
-        if exits.iter().any(|e| matches!(e, ExitKind::ExchangeDrop(_))) {
+        if exits.iter().any(|e| matches!(e, Exit::ExchangeDrop(_))) {
             // A dropped exchange is observed by both ends of the faulted
             // link at the same barrier; other ranks see dead links as the
             // pair tears down. Roll everyone back together.
             fstats.exchange_drops += 1;
             rstats.faults_injected += 1;
-            rstats.rollbacks += 1;
-            if retry >= policy.max_retries {
-                degrade_seq!(live[0]);
-            }
-            retry += 1;
-            rstats.retries += 1;
-            let backoff = policy.backoff_ms(retry - 1);
-            if backoff > 0 {
-                std::thread::sleep(Duration::from_millis(backoff));
-            }
-            match load_merged::<P>(&stores, &live, &part.assign, &mut rstats) {
-                Some((k, vals, flags)) => {
-                    start_step = k;
-                    resume_state = Some((vals, flags));
-                    last_resume = Some(k);
-                }
-                None => {
-                    start_step = 0;
-                    resume_state = None;
-                    last_resume = Some(0);
-                }
-            }
-            continue;
+            roll_back!(live[0]);
         }
 
         // Any remaining mix (peer-dead/timeout without a lost rank or a
@@ -1434,10 +677,3 @@ where
         resume,
     )
 }
-
-fn _assert_send<T: Send>() {}
-const _: () = {
-    fn _check() {
-        _assert_send::<Heartbeat>();
-    }
-};

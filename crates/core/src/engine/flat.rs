@@ -221,15 +221,7 @@ pub fn run_flat<P: VertexProgram>(
 
         let times = cost.step_times(&c, GenMode::Flat, P::Msg::SIZE, false);
         let msgs = c.msgs_total();
-        c.gen_chunks.clear();
-        c.proc_chunks.clear();
-        steps.push(StepReport {
-            step,
-            times,
-            comm_time: 0.0,
-            wall: t0.elapsed().as_secs_f64(),
-            counters: c,
-        });
+        steps.push(StepReport::new(step, times, 0.0, t0, c));
         if msgs == 0 {
             break;
         }

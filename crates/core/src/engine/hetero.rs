@@ -1,40 +1,32 @@
 //! Heterogeneous N-rank execution (§IV.A / §IV.E, generalized).
 //!
 //! "The system is built using MPI symmetric computing, with CPU being Rank
-//! 0, and MIC being Rank 1." Every device runtime executes the same
-//! superstep in lockstep; between generation and processing each rank
-//! buckets its remote buffer per destination rank, combines each bucket
-//! per destination, and exchanges the combined payloads over its per-peer
-//! links (ascending peer order on every rank — sends never block, so the
-//! mesh schedule is deadlock-free). Global termination: a superstep in
-//! which no rank generated any message — each rank sees its own flag plus
-//! every peer's, so all ranks reach the identical decision at the same
-//! barrier. The classic 2-device CPU+MIC topology is the `N = 2` case of
-//! this one code path.
+//! 0, and MIC being Rank 1." [`run_ranks`] launches the one CSB rank loop
+//! (`engine/rank.rs`) on every rank of an all-to-all link
+//! mesh: between generation and processing each rank buckets its remote
+//! buffer per destination rank, combines each bucket per destination, and
+//! exchanges the combined payloads over its per-peer links in ascending
+//! peer order. The classic 2-device CPU+MIC topology is the `N = 2` case
+//! of this one code path, and a single device (`run_single`) is the
+//! `N = 1` case with no links.
 
 use crate::api::VertexProgram;
 use crate::engine::config::EngineConfig;
-use crate::engine::device::DeviceEngine;
-use crate::engine::flat::run_cap;
-use crate::engine::integrity::framed_exchange;
-use crate::engine::seq::run_seq;
-use crate::metrics::{combine_ranks, RunOutput, RunReport, StepReport};
-use phigraph_comm::message::wire_bytes;
-use phigraph_comm::{combine_messages, mesh, Endpoint, PcieLink, WireMsg};
-use phigraph_device::{CostModel, DeviceSpec, StepCounters};
+use crate::engine::rank::{launch_plain, merge_owned};
+use crate::metrics::{combine_ranks, RunOutput, RunReport};
+use phigraph_comm::PcieLink;
+use phigraph_device::DeviceSpec;
 use phigraph_graph::Csr;
 use phigraph_partition::DevicePartition;
-use phigraph_recover::{FaultKind, IntegrityStats, RecoveryStats};
-use phigraph_simd::MsgValue;
-use phigraph_trace::{HistKind, Phase};
-use std::time::Instant;
 
 /// Run `program` across `specs.len()` ranks. `specs`/`configs` are indexed
 /// by rank (0 = CPU, 1.. = accelerators); `partition` assigns vertices.
 ///
 /// # Panics
-/// Panics if a `DropExchange` fault fires — install the fault plan under
-/// [`run_ranks_recovering`] instead, which retries and degrades.
+/// Panics if an injected fault stops a rank (a dropped exchange, a crash
+/// or a hang) — install the fault plan under
+/// [`run_ranks_failover`](crate::engine::run_ranks_failover) instead, which
+/// rolls back, migrates and degrades.
 pub fn run_ranks<P: VertexProgram>(
     program: &P,
     graph: &Csr,
@@ -43,20 +35,38 @@ pub fn run_ranks<P: VertexProgram>(
     configs: &[EngineConfig],
     link: PcieLink,
 ) -> RunOutput<P::Value> {
-    attempt_ranks(program, graph, partition, specs, configs, link).unwrap_or_else(|step| {
-        panic!(
-            "remote message exchange dropped at superstep {step} with no \
-             recovery driver installed; use run_ranks_recovering"
-        )
-    })
+    assert_eq!(partition.assign.len(), graph.num_vertices());
+    assert!(specs.len() >= 2, "heterogeneous runs need at least 2 ranks");
+    assert_eq!(specs.len(), configs.len(), "one config per rank");
+    let assign = &partition.assign;
+    let outs = launch_plain(program, graph, Some(assign), specs, configs, link);
+    let mut values = Vec::with_capacity(outs.len());
+    let mut reports = Vec::with_capacity(outs.len());
+    for (r, o) in outs.into_iter().enumerate() {
+        values.push((r, o.values));
+        reports.push(RunReport {
+            app: P::NAME.to_string(),
+            device: specs[r].name.to_string(),
+            mode: "cpu-mic".to_string(),
+            steps: o.steps,
+            wall: o.wall,
+            integrity: o.integ,
+            ..Default::default()
+        });
+    }
+    RunOutput {
+        values: merge_owned(values, assign),
+        report: combine_ranks(P::NAME, &reports),
+        device_reports: reports,
+    }
 }
 
 /// Run `program` across both devices of the classic CPU+MIC pair — the
 /// `N = 2` case of [`run_ranks`].
 ///
 /// # Panics
-/// Panics if a `DropExchange` fault fires — install the fault plan under
-/// [`run_hetero_recovering`] instead, which retries and degrades.
+/// Panics if an injected fault stops a rank — install the fault plan under
+/// [`run_hetero_failover`](crate::engine::run_hetero_failover) instead.
 pub fn run_hetero<P: VertexProgram>(
     program: &P,
     graph: &Csr,
@@ -66,309 +76,6 @@ pub fn run_hetero<P: VertexProgram>(
     link: PcieLink,
 ) -> RunOutput<P::Value> {
     run_ranks(program, graph, partition, &specs, &configs, link)
-}
-
-/// [`run_ranks`] with link-failure recovery: a dropped exchange aborts the
-/// superstep consistently on every rank (a dropped link cascades dead-peer
-/// errors over the survivors' links within one barrier), and the whole run
-/// is replayed — generation is deterministic per attempt, and injected
-/// faults fire once, so replay converges. After
-/// `configs[0].recovery.max_retries` failed attempts the run degrades to
-/// the sequential engine on rank 0. Recovery events are reported in the
-/// combined report's [`RunReport::recovery`].
-pub fn run_ranks_recovering<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    partition: &DevicePartition,
-    specs: &[DeviceSpec],
-    configs: &[EngineConfig],
-    link: PcieLink,
-) -> RunOutput<P::Value> {
-    let policy = configs[0].recovery;
-    let mut stats = RecoveryStats::default();
-    let mut dropped_exchanges = 0u64;
-    let mut retry = 0u32;
-    loop {
-        match attempt_ranks(program, graph, partition, specs, configs, link) {
-            Ok(mut out) => {
-                stats.accumulate(&out.report.recovery);
-                out.report.recovery = stats;
-                out.report.failover.exchange_drops = dropped_exchanges;
-                return out;
-            }
-            Err(_step) => {
-                dropped_exchanges += 1;
-                stats.faults_injected += 1;
-                stats.rollbacks += 1;
-                if retry >= policy.max_retries {
-                    // Retry budget exhausted: degrade to one sequential
-                    // device. The hetero path keeps no checkpoints (all
-                    // ranks would need a coordinated snapshot), so the
-                    // degraded run restarts from scratch — slower, still
-                    // correct.
-                    stats.degraded = true;
-                    let mut out = run_seq(program, graph, specs[0].clone(), &configs[0]);
-                    out.report.recovery = stats;
-                    out.report.failover.exchange_drops = dropped_exchanges;
-                    return out;
-                }
-                retry += 1;
-                stats.retries += 1;
-                let backoff = policy.backoff_ms(retry - 1);
-                if backoff > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(backoff));
-                }
-            }
-        }
-    }
-}
-
-/// [`run_hetero`] with link-failure recovery — the `N = 2` case of
-/// [`run_ranks_recovering`].
-pub fn run_hetero_recovering<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    partition: &DevicePartition,
-    specs: [DeviceSpec; 2],
-    configs: [EngineConfig; 2],
-    link: PcieLink,
-) -> RunOutput<P::Value> {
-    run_ranks_recovering(program, graph, partition, &specs, &configs, link)
-}
-
-/// One lock-step attempt over the full fabric. `Err(step)` is the earliest
-/// superstep whose exchange was dropped: the rank with the poisoned link
-/// fails at that barrier, and its peers observe dead links at the same or
-/// the following barrier — the minimum is the authoritative failure point.
-fn attempt_ranks<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    partition: &DevicePartition,
-    specs: &[DeviceSpec],
-    configs: &[EngineConfig],
-    link: PcieLink,
-) -> Result<RunOutput<P::Value>, usize> {
-    assert_eq!(partition.assign.len(), graph.num_vertices());
-    assert!(specs.len() >= 2, "heterogeneous runs need at least 2 ranks");
-    assert_eq!(specs.len(), configs.len(), "one config per rank");
-    let n_ranks = specs.len();
-    // All ranks must agree on the superstep cap or the lock-step exchange
-    // deadlocks.
-    let cap = run_cap(
-        program.max_supersteps(),
-        configs.iter().filter_map(|c| c.max_supersteps).min(),
-    );
-
-    let ranks: Vec<usize> = (0..n_ranks).collect();
-    let sides = mesh::<WireMsg<P::Msg>>(link, &ranks);
-    let assign = &partition.assign;
-
-    let outs: Vec<(Vec<P::Value>, RunReport, Option<usize>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = sides
-            .into_iter()
-            .enumerate()
-            .map(|(r, eps)| {
-                let spec = specs[r].clone();
-                let config = configs[r].clone();
-                s.spawn(move || device_loop(program, graph, assign, r, spec, config, eps, cap))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank loop panicked"))
-            .collect()
-    });
-
-    if let Some(step) = outs.iter().filter_map(|(_, _, f)| *f).min() {
-        return Err(step);
-    }
-    // Merge values by ownership.
-    let mut iter = outs.into_iter();
-    let (mut values, report0, _) = iter.next().expect("rank 0 output");
-    let mut reports = vec![report0];
-    for (r, (vals, report, _)) in iter.enumerate() {
-        let r = (r + 1) as u8;
-        for (v, val) in vals.into_iter().enumerate() {
-            if assign[v] == r {
-                values[v] = val;
-            }
-        }
-        reports.push(report);
-    }
-    let report = combine_ranks(P::NAME, &reports);
-    Ok(RunOutput {
-        values,
-        report,
-        device_reports: reports,
-    })
-}
-
-/// One rank's superstep loop. The third return slot is `Some(step)` when a
-/// remote exchange for `step` was dropped (fault injection): the loop
-/// returns early, its peers observe dead links at the same (or next)
-/// barrier, and the caller decides whether to retry.
-#[allow(clippy::too_many_arguments)]
-fn device_loop<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    assign: &[u8],
-    rank: usize,
-    spec: DeviceSpec,
-    config: EngineConfig,
-    eps: Vec<Endpoint<WireMsg<P::Msg>>>,
-    cap: usize,
-) -> (Vec<P::Value>, RunReport, Option<usize>) {
-    let dev = rank as u8;
-    let cost = CostModel::new(spec.clone());
-    let mut engine = DeviceEngine::new(
-        program,
-        graph,
-        spec.clone(),
-        config.clone(),
-        dev,
-        Some(assign),
-    );
-    let tracer = config.tracer(&format!("dev{dev}"), dev as u32 * 1000);
-    // Destination rank → link position (eps are ascending by peer id).
-    let max_rank = eps.iter().map(|e| e.peer).max().unwrap_or(0).max(rank);
-    let mut bucket_of = vec![usize::MAX; max_rank + 1];
-    for (i, ep) in eps.iter().enumerate() {
-        bucket_of[ep.peer] = i;
-    }
-    let wall_start = Instant::now();
-    let mut steps: Vec<StepReport> = Vec::new();
-    let mut failed: Option<usize> = None;
-    let mut integ_stats = IntegrityStats::default();
-
-    for step in 0.. {
-        if step >= cap {
-            break;
-        }
-        let t0 = Instant::now();
-        let _step_span = tracer.span(Phase::Superstep, step as u32);
-        let mut c: StepCounters = engine.begin_step();
-
-        // 1. Message generation (local messages straight into the CSB,
-        //    peer-bound ones into the remote buffer).
-        let remote = {
-            let _g = tracer.span(Phase::Generate, step as u32);
-            engine.generate(&mut c)
-        };
-        c.remote_before_combine = remote.len() as u64;
-
-        // 2. Bucket the remote buffer by destination rank (generation
-        //    order preserved within each bucket) and combine each bucket
-        //    per destination ("the combination result is sent to the other
-        //    device as a single MPI message" — one such message per peer).
-        let mut buckets: Vec<Vec<WireMsg<P::Msg>>> = (0..eps.len()).map(|_| Vec::new()).collect();
-        for m in remote {
-            buckets[bucket_of[assign[m.dst as usize] as usize]].push(m);
-        }
-        let mut outgoing: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
-        for b in buckets {
-            let (combined, _) = combine_messages::<P::Msg, P::Reduce>(b);
-            c.remote_after_combine += combined.len() as u64;
-            outgoing.push(combined);
-        }
-
-        // 3. The implicit remote message exchange, one framed exchange per
-        //    link in ascending peer order. A `DropExchange` fault scheduled
-        //    for this (step, rank) arms a one-shot failure of the rank's
-        //    first link that both of its ends observe at this barrier.
-        if let Some(inj) = &config.fault_plan {
-            if inj.fire(step as u64, FaultKind::DropExchange, dev) {
-                eps[0].inject_fault();
-            }
-        }
-        let my_any = c.msgs_total() > 0;
-        let mut peer_any = false;
-        let mut comm_time = 0.0;
-        let mut incoming_all: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
-        let x0 = Instant::now();
-        let xspan = tracer.span(Phase::Exchange, step as u32);
-        // Frame integrity (when configured): seal, verify, and heal corrupt
-        // frames with a bounded verdict-synced re-exchange. With integrity
-        // off this is the plain lock-step exchange (and any injected wire
-        // corruption passes through silently).
-        for (ep, out_msgs) in eps.iter().zip(outgoing) {
-            let bytes_out = wire_bytes::<P::Msg>(out_msgs.len());
-            let exchanged = framed_exchange(
-                ep,
-                out_msgs,
-                bytes_out,
-                my_any,
-                0.0,
-                None,
-                step as u64,
-                dev,
-                config.integrity,
-                config.fault_plan.as_ref(),
-                &mut integ_stats,
-            );
-            match exchanged {
-                Ok((msgs, peer, x)) => {
-                    peer_any |= peer.any_active;
-                    c.comm_bytes += x.bytes_sent + x.bytes_recv;
-                    comm_time += x.sim_time;
-                    incoming_all.push(msgs);
-                }
-                Err(_dropped) => {
-                    failed = Some(step);
-                    break;
-                }
-            }
-        }
-        if failed.is_some() {
-            break;
-        }
-        drop(xspan);
-        config.record_hist(HistKind::ExchangeRttUs, x0.elapsed().as_micros() as u64);
-
-        // 4. Insert received messages (per peer, ascending), then process
-        //    and update locally.
-        {
-            let _i = tracer.span(Phase::Insert, step as u32);
-            for incoming in &incoming_all {
-                engine.absorb_remote(incoming, &mut c);
-            }
-            engine.finalize_insertion_stats(&mut c);
-        }
-        {
-            let _p = tracer.span(Phase::Process, step as u32);
-            engine.process(&mut c);
-        }
-        {
-            let _u = tracer.span(Phase::Update, step as u32);
-            engine.update(&mut c);
-        }
-
-        let vectorized = config.vectorized && P::SIMD_REDUCIBLE;
-        let times = cost.step_times(&c, config.gen_mode(&spec), P::Msg::SIZE, vectorized);
-        c.gen_chunks.clear();
-        c.proc_chunks.clear();
-        steps.push(StepReport {
-            step,
-            times,
-            comm_time,
-            wall: t0.elapsed().as_secs_f64(),
-            counters: c,
-        });
-        // Global termination: nobody generated messages this superstep.
-        if !my_any && !peer_any {
-            break;
-        }
-    }
-
-    let report = RunReport {
-        app: P::NAME.to_string(),
-        device: spec.name.to_string(),
-        mode: "cpu-mic".to_string(),
-        steps,
-        wall: wall_start.elapsed().as_secs_f64(),
-        integrity: integ_stats,
-        ..Default::default()
-    };
-    (engine.values, report, failed)
 }
 
 #[cfg(test)]
@@ -468,108 +175,9 @@ mod tests {
     }
 
     #[test]
-    fn dropped_exchange_is_retried_and_matches_clean_run() {
-        use phigraph_recover::{FaultKind, FaultPlan};
-        let g = chain(30);
-        let p = partition(&g, PartitionScheme::RoundRobin, Ratio::even(), 0);
-        let clean = run_single(
-            &Sssp,
-            &g,
-            DeviceSpec::xeon_e5_2680(),
-            &EngineConfig::locking(),
-        );
-        let plan = FaultPlan::single(2, FaultKind::DropExchange);
-        let inj = plan.injector();
-        let out = run_hetero_recovering(
-            &Sssp,
-            &g,
-            &p,
-            [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
-            [
-                EngineConfig::locking()
-                    .with_backoff_ms(0)
-                    .with_fault_plan(inj.clone()),
-                EngineConfig::locking().with_fault_plan(inj),
-            ],
-            PcieLink::gen2_x16(),
-        );
-        assert_eq!(out.values, clean.values);
-        assert_eq!(out.report.recovery.rollbacks, 1);
-        assert_eq!(out.report.recovery.retries, 1);
-        assert_eq!(out.report.recovery.faults_injected, 1);
-        assert!(!out.report.recovery.degraded);
-        assert_eq!(out.report.device, "CPU-MIC");
-    }
-
-    #[test]
-    fn three_rank_dropped_exchange_is_retried() {
-        use phigraph_recover::{FaultKind, FaultPlan};
-        let g = chain(30);
-        let p = partition_n(&g, PartitionScheme::RoundRobin, &Shares::even(3), 0);
-        let clean = run_single(
-            &Sssp,
-            &g,
-            DeviceSpec::xeon_e5_2680(),
-            &EngineConfig::locking(),
-        );
-        // Rank 1 drops its first link (to rank 0) at superstep 2; ranks 0
-        // and 2 observe the dead fabric and all three retry consistently.
-        let plan = FaultPlan::new().with(2, FaultKind::DropExchange, 1);
-        let inj = plan.injector();
-        let specs = vec![
-            DeviceSpec::xeon_e5_2680(),
-            DeviceSpec::xeon_phi_se10p(),
-            DeviceSpec::xeon_phi_se10p(),
-        ];
-        let configs = vec![
-            EngineConfig::locking()
-                .with_backoff_ms(0)
-                .with_fault_plan(inj.clone());
-            3
-        ];
-        let out = run_ranks_recovering(&Sssp, &g, &p, &specs, &configs, PcieLink::gen2_x16());
-        assert_eq!(out.values, clean.values);
-        assert_eq!(out.report.recovery.rollbacks, 1);
-        assert_eq!(out.report.recovery.retries, 1);
-        assert!(!out.report.recovery.degraded);
-    }
-
-    #[test]
-    fn exchange_faults_past_budget_degrade_to_sequential() {
-        use phigraph_recover::{FaultKind, FaultPlan};
-        let g = chain(20);
-        let p = partition(&g, PartitionScheme::RoundRobin, Ratio::even(), 0);
-        // Faults on both devices across attempts, budget of one retry.
-        let plan = FaultPlan::new().with(1, FaultKind::DropExchange, 0).with(
-            2,
-            FaultKind::DropExchange,
-            1,
-        );
-        let inj = plan.injector();
-        let out = run_hetero_recovering(
-            &Sssp,
-            &g,
-            &p,
-            [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
-            [
-                EngineConfig::locking()
-                    .with_backoff_ms(0)
-                    .with_max_retries(1)
-                    .with_fault_plan(inj.clone()),
-                EngineConfig::locking().with_fault_plan(inj),
-            ],
-            PcieLink::gen2_x16(),
-        );
-        for v in 0..20 {
-            assert_eq!(out.values[v], v as f32, "degraded run still correct");
-        }
-        assert!(out.report.recovery.degraded);
-        assert_eq!(out.report.mode, "seq");
-        assert!(out.report.summary().contains("DEGRADED->seq"));
-    }
-
-    #[test]
     fn recovering_driver_without_faults_is_plain_hetero() {
+        use crate::engine::run_hetero_failover;
+        use phigraph_recover::{FailoverConfig, MemStore};
         let g = chain(24);
         let p = partition(&g, PartitionScheme::Continuous, Ratio::even(), 0);
         let specs = [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()];
@@ -582,9 +190,24 @@ mod tests {
             configs.clone(),
             PcieLink::ideal(),
         );
-        let out = run_hetero_recovering(&Sssp, &g, &p, specs, configs, PcieLink::ideal());
+        let (mut s0, mut s1) = (MemStore::new(), MemStore::new());
+        let out = run_hetero_failover(
+            &Sssp,
+            &g,
+            &p,
+            specs,
+            configs,
+            PcieLink::ideal(),
+            &FailoverConfig::default(),
+            [&mut s0, &mut s1],
+            false,
+        );
         assert_eq!(out.values, plain.values);
-        assert!(!out.report.recovery.any());
+        // The failover driver checkpoints every run; nothing else may fire.
+        let r = &out.report.recovery;
+        assert_eq!((r.rollbacks, r.retries, r.faults_injected), (0, 0, 0));
+        assert!(!r.degraded);
+        assert!(!out.report.failover.any());
     }
 
     #[test]
@@ -609,5 +232,25 @@ mod tests {
             .map(|s| s.counters.remote_after_combine)
             .sum();
         assert_eq!(total_remote, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "run_ranks_failover")]
+    fn dropped_exchange_without_failover_panics_naming_the_failover_driver() {
+        use phigraph_recover::{FaultKind, FaultPlan};
+        let g = chain(30);
+        let p = partition(&g, PartitionScheme::RoundRobin, Ratio::even(), 0);
+        let inj = FaultPlan::single(2, FaultKind::DropExchange).injector();
+        run_hetero(
+            &Sssp,
+            &g,
+            &p,
+            [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
+            [
+                EngineConfig::locking().with_fault_plan(inj.clone()),
+                EngineConfig::locking().with_fault_plan(inj),
+            ],
+            PcieLink::gen2_x16(),
+        );
     }
 }

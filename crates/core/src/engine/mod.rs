@@ -1,5 +1,12 @@
-//! Execution engines: single-device drivers, the heterogeneous CPU-MIC
-//! driver, and the object-message path.
+//! Execution engines.
+//!
+//! The CSB drivers — [`run_single`] (locking and pipelined modes),
+//! [`run_ranks`]/[`run_hetero`] and [`run_ranks_failover`] — all launch the
+//! one rank loop (`engine/rank.rs`) over a set of ranks: a single device is the
+//! one-rank case with no links. [`run_recoverable`] keeps its own loop
+//! because its fault sites and integrity rungs sit inside the superstep.
+//! The flat (`omp`) and sequential engines and the object-message path
+//! ([`obj`]) are separate engines with their own loops.
 
 pub mod config;
 pub mod device;
@@ -8,6 +15,7 @@ pub mod flat;
 pub mod hetero;
 pub mod integrity;
 pub mod obj;
+mod rank;
 pub mod recover;
 pub mod seq;
 
@@ -15,19 +23,17 @@ pub use config::{EngineConfig, ExecMode};
 pub use device::DeviceEngine;
 pub use failover::{run_hetero_failover, run_ranks_failover};
 pub use flat::run_flat;
-pub use hetero::{run_hetero, run_hetero_recovering, run_ranks, run_ranks_recovering};
+pub use hetero::{run_hetero, run_ranks};
 pub use integrity::{framed_exchange, BarrierImage, IntegrityCtx};
 pub use recover::run_recoverable;
 pub use seq::{run_seq, run_seq_resume};
 
 use crate::api::VertexProgram;
-use crate::metrics::{RunOutput, RunReport, StepReport};
-use flat::run_cap;
-use phigraph_device::{CostModel, DeviceSpec};
+use crate::metrics::{RunOutput, RunReport};
+use phigraph_comm::PcieLink;
+use phigraph_device::DeviceSpec;
 use phigraph_graph::Csr;
-use phigraph_simd::MsgValue;
-use phigraph_trace::Phase;
-use std::time::Instant;
+use rank::launch_plain;
 
 /// Run `program` to completion on a single device with any execution mode.
 ///
@@ -56,82 +62,30 @@ pub fn run_single<P: VertexProgram>(
     match config.mode {
         ExecMode::Flat => run_flat(program, graph, spec, config),
         ExecMode::Sequential => run_seq(program, graph, spec, config),
-        ExecMode::Locking | ExecMode::Pipelined => run_csb_single(program, graph, spec, config),
-    }
-}
-
-fn run_csb_single<P: VertexProgram>(
-    program: &P,
-    graph: &Csr,
-    spec: DeviceSpec,
-    config: &EngineConfig,
-) -> RunOutput<P::Value> {
-    let cost = CostModel::new(spec.clone());
-    let mut engine = DeviceEngine::new(program, graph, spec.clone(), config.clone(), 0, None);
-    let cap = run_cap(program.max_supersteps(), config.max_supersteps);
-    let tracer = config.tracer("dev0", 0);
-    let wall_start = Instant::now();
-    let mut steps: Vec<StepReport> = Vec::new();
-
-    for step in 0.. {
-        if step >= cap || config.cancelled() {
-            break;
+        ExecMode::Locking | ExecMode::Pipelined => {
+            let out = launch_plain(
+                program,
+                graph,
+                None,
+                std::slice::from_ref(&spec),
+                std::slice::from_ref(config),
+                PcieLink::ideal(),
+            )
+            .pop()
+            .expect("one rank");
+            let report = RunReport {
+                app: P::NAME.to_string(),
+                device: spec.name.to_string(),
+                mode: config.mode.name().to_string(),
+                steps: out.steps,
+                wall: out.wall,
+                ..Default::default()
+            };
+            RunOutput {
+                values: out.values,
+                device_reports: vec![report.clone()],
+                report,
+            }
         }
-        let t0 = Instant::now();
-        let step_span = tracer.span(Phase::Superstep, step as u32);
-        let mut c = engine.begin_step();
-        let remote = {
-            let _g = tracer.span(Phase::Generate, step as u32);
-            engine.generate(&mut c)
-        };
-        debug_assert!(
-            remote.is_empty(),
-            "single-device run produced remote messages"
-        );
-        engine.finalize_insertion_stats(&mut c);
-        // Mid-superstep cancellation point: the partial step is abandoned
-        // (values still hold the last completed superstep's state).
-        if config.cancelled() {
-            break;
-        }
-        {
-            let _p = tracer.span(Phase::Process, step as u32);
-            engine.process(&mut c);
-        }
-        {
-            let _u = tracer.span(Phase::Update, step as u32);
-            engine.update(&mut c);
-        }
-        drop(step_span);
-
-        let vectorized = config.vectorized && P::SIMD_REDUCIBLE;
-        let times = cost.step_times(&c, config.gen_mode(&spec), P::Msg::SIZE, vectorized);
-        let msgs = c.msgs_total();
-        c.gen_chunks.clear();
-        c.proc_chunks.clear();
-        steps.push(StepReport {
-            step,
-            times,
-            comm_time: 0.0,
-            wall: t0.elapsed().as_secs_f64(),
-            counters: c,
-        });
-        if msgs == 0 {
-            break;
-        }
-    }
-
-    let report = RunReport {
-        app: P::NAME.to_string(),
-        device: spec.name.to_string(),
-        mode: config.mode.name().to_string(),
-        steps,
-        wall: wall_start.elapsed().as_secs_f64(),
-        ..Default::default()
-    };
-    RunOutput {
-        values: engine.values,
-        device_reports: vec![report.clone()],
-        report,
     }
 }

@@ -11,7 +11,7 @@
 use crate::active::ActiveSet;
 use crate::engine::config::{EngineConfig, ExecMode};
 use crate::engine::flat::run_cap;
-use crate::metrics::{combine_hetero, RunOutput, RunReport, StepReport};
+use crate::metrics::{combine_ranks, RunOutput, RunReport, StepReport};
 use crate::queues::QueueMatrix;
 use phigraph_comm::{duplex_pair, Endpoint, PcieLink};
 use phigraph_device::cost::GenMode;
@@ -424,57 +424,19 @@ impl<'g, P: ObjVertexProgram> ObjEngine<'g, P> {
     }
 }
 
-/// Run an object-message program on a single device.
+/// Run an object-message program on a single device: the one-rank case
+/// of the object-message rank loop, with no peer.
 pub fn run_obj_single<P: ObjVertexProgram>(
     program: &P,
     graph: &Csr,
     spec: DeviceSpec,
     config: &EngineConfig,
 ) -> RunOutput<P::Value> {
-    let cost = CostModel::new(spec.clone());
-    let mut engine = ObjEngine::new(program, graph, spec.clone(), config.clone(), 0, None);
     let cap = run_cap(program.max_supersteps(), config.max_supersteps);
-    let wall_start = Instant::now();
-    let mut steps = Vec::new();
-    for step in 0.. {
-        if step >= cap {
-            break;
-        }
-        let t0 = Instant::now();
-        let mut c = StepCounters::default();
-        let remote = engine.generate(&mut c);
-        debug_assert!(remote.is_empty());
-        engine.process_update(&mut c);
-        let mut times = cost.step_times(&c, engine.gen_mode(), OBJ_MSG_SIZE, false);
-        // Object messages are processed by branch-heavy merge/sort code,
-        // not lane reductions — recost that phase.
-        times.total -= times.process;
-        times.process = cost.obj_process_time(&c);
-        times.total += times.process;
-        let msgs = c.msgs_total();
-        c.gen_chunks.clear();
-        c.proc_chunks.clear();
-        steps.push(StepReport {
-            step,
-            times,
-            comm_time: 0.0,
-            wall: t0.elapsed().as_secs_f64(),
-            counters: c,
-        });
-        if msgs == 0 {
-            break;
-        }
-    }
-    let report = RunReport {
-        app: P::NAME.to_string(),
-        device: spec.name.to_string(),
-        mode: config.mode.name().to_string(),
-        steps,
-        wall: wall_start.elapsed().as_secs_f64(),
-        ..Default::default()
-    };
+    let (values, report) =
+        obj_device_loop(program, graph, None, 0, spec, config.clone(), None, cap);
     RunOutput {
-        values: engine.values,
+        values,
         device_reports: vec![report.clone()],
         report,
     }
@@ -502,8 +464,30 @@ pub fn run_obj_hetero<P: ObjVertexProgram>(
     let assign = &partition.assign;
 
     let (side0, side1) = std::thread::scope(|s| {
-        let h0 = s.spawn(|| obj_device_loop(program, graph, assign, 0, spec0, config0, ep0, cap));
-        let h1 = s.spawn(|| obj_device_loop(program, graph, assign, 1, spec1, config1, ep1, cap));
+        let h0 = s.spawn(|| {
+            obj_device_loop(
+                program,
+                graph,
+                Some(assign),
+                0,
+                spec0,
+                config0,
+                Some(ep0),
+                cap,
+            )
+        });
+        let h1 = s.spawn(|| {
+            obj_device_loop(
+                program,
+                graph,
+                Some(assign),
+                1,
+                spec1,
+                config1,
+                Some(ep1),
+                cap,
+            )
+        });
         (
             h0.join().expect("dev0 panicked"),
             h1.join().expect("dev1 panicked"),
@@ -517,87 +501,89 @@ pub fn run_obj_hetero<P: ObjVertexProgram>(
             values[v] = val;
         }
     }
-    let report = combine_hetero(P::NAME, &r0, &r1);
+    let device_reports = vec![r0, r1];
     RunOutput {
         values,
-        report,
-        device_reports: vec![r0, r1],
+        report: combine_ranks(P::NAME, &device_reports),
+        device_reports,
     }
 }
 
+/// One device's object-message superstep loop. With a peer endpoint the
+/// remote messages are combined per destination and exchanged; with none
+/// (a single-device run) every message is local.
 #[allow(clippy::too_many_arguments)]
 fn obj_device_loop<P: ObjVertexProgram>(
     program: &P,
     graph: &Csr,
-    assign: &[u8],
+    assign: Option<&[u8]>,
     dev: u8,
     spec: DeviceSpec,
     config: EngineConfig,
-    ep: Endpoint<(VertexId, P::Msg)>,
+    ep: Option<Endpoint<(VertexId, P::Msg)>>,
     cap: usize,
 ) -> (Vec<P::Value>, RunReport) {
     let cost = CostModel::new(spec.clone());
-    let mut engine = ObjEngine::new(
-        program,
-        graph,
-        spec.clone(),
-        config.clone(),
-        dev,
-        Some(assign),
-    );
+    let mut engine = ObjEngine::new(program, graph, spec.clone(), config.clone(), dev, assign);
     let wall_start = Instant::now();
     let mut steps = Vec::new();
-    for step in 0.. {
-        if step >= cap {
-            break;
-        }
+    for step in 0..cap {
         let t0 = Instant::now();
         let mut c = StepCounters::default();
         let mut remote = engine.generate(&mut c);
-        c.remote_before_combine = remote.len() as u64;
-        // Per-destination combine via the program hook.
-        remote.sort_by_key(|&(d, _)| d);
-        let mut combined: Vec<(VertexId, P::Msg)> = Vec::with_capacity(remote.len());
-        let mut i = 0;
-        while i < remote.len() {
-            let dst = remote[i].0;
-            let mut group = Vec::new();
-            while i < remote.len() && remote[i].0 == dst {
-                group.push(remote[i].1.clone());
-                i += 1;
-            }
-            for m in program.combine_remote(dst, group) {
-                combined.push((dst, m));
-            }
-        }
-        c.remote_after_combine = combined.len() as u64;
-        let bytes_out: u64 = combined.iter().map(|(_, m)| 4 + P::msg_bytes(m)).sum();
         let my_any = c.msgs_total() > 0;
-        let (incoming, peer_any, xstats) = ep.exchange(combined, bytes_out, my_any);
-        c.comm_bytes = xstats.bytes_sent + xstats.bytes_recv;
-        engine.absorb_remote(incoming, &mut c);
+        let mut peer_any = false;
+        let mut comm_time = 0.0;
+        if let Some(ep) = &ep {
+            c.remote_before_combine = remote.len() as u64;
+            // Per-destination combine via the program hook.
+            remote.sort_by_key(|&(d, _)| d);
+            let mut combined: Vec<(VertexId, P::Msg)> = Vec::with_capacity(remote.len());
+            let mut i = 0;
+            while i < remote.len() {
+                let dst = remote[i].0;
+                let mut group = Vec::new();
+                while i < remote.len() && remote[i].0 == dst {
+                    group.push(remote[i].1.clone());
+                    i += 1;
+                }
+                for m in program.combine_remote(dst, group) {
+                    combined.push((dst, m));
+                }
+            }
+            c.remote_after_combine = combined.len() as u64;
+            let bytes_out: u64 = combined.iter().map(|(_, m)| 4 + P::msg_bytes(m)).sum();
+            let (incoming, any, xstats) = ep.exchange(combined, bytes_out, my_any);
+            peer_any = any;
+            comm_time = xstats.sim_time;
+            c.comm_bytes = xstats.bytes_sent + xstats.bytes_recv;
+            engine.absorb_remote(incoming, &mut c);
+        } else {
+            debug_assert!(
+                remote.is_empty(),
+                "single-device run produced remote messages"
+            );
+        }
         engine.process_update(&mut c);
         let mut times = cost.step_times(&c, engine.gen_mode(), OBJ_MSG_SIZE, false);
+        // Object messages are processed by branch-heavy merge/sort code,
+        // not lane reductions — recost that phase.
         times.total -= times.process;
         times.process = cost.obj_process_time(&c);
         times.total += times.process;
-        c.gen_chunks.clear();
-        c.proc_chunks.clear();
-        steps.push(StepReport {
-            step,
-            times,
-            comm_time: xstats.sim_time,
-            wall: t0.elapsed().as_secs_f64(),
-            counters: c,
-        });
+        steps.push(StepReport::new(step, times, comm_time, t0, c));
         if !my_any && !peer_any {
             break;
         }
     }
+    let mode = match ep {
+        Some(_) => "cpu-mic",
+        None => config.mode.name(),
+    };
     let report = RunReport {
         app: P::NAME.to_string(),
         device: spec.name.to_string(),
-        mode: "cpu-mic".to_string(),
+        mode: mode.to_string(),
         steps,
         wall: wall_start.elapsed().as_secs_f64(),
         ..Default::default()

@@ -432,15 +432,7 @@ where
                     ck0.elapsed().as_micros() as u64,
                 );
             }
-            c.gen_chunks.clear();
-            c.proc_chunks.clear();
-            steps.push(StepReport {
-                step,
-                times,
-                comm_time: 0.0,
-                wall: t0.elapsed().as_secs_f64(),
-                counters: c,
-            });
+            steps.push(StepReport::new(step, times, 0.0, t0, c));
             // The barrier after update is the next step's reference state.
             if let Some(img) = image.as_mut() {
                 *img = BarrierImage::capture(&engine);

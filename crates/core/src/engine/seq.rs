@@ -151,13 +151,7 @@ pub fn run_seq_resume<P: VertexProgram>(
 
         let times = cost.step_times(&c, GenMode::Sequential, P::Msg::SIZE, false);
         let msgs = c.msgs_total();
-        steps.push(StepReport {
-            step,
-            times,
-            comm_time: 0.0,
-            wall: t0.elapsed().as_secs_f64(),
-            counters: c,
-        });
+        steps.push(StepReport::new(step, times, 0.0, t0, c));
         if msgs == 0 {
             break;
         }

@@ -73,7 +73,5 @@ pub mod tune;
 pub mod util;
 
 pub use api::{GenContext, MsgSink, VertexProgram};
-pub use engine::{
-    run_hetero, run_hetero_recovering, run_recoverable, run_single, EngineConfig, ExecMode,
-};
+pub use engine::{run_hetero, run_recoverable, run_single, EngineConfig, ExecMode};
 pub use metrics::{RunReport, StepReport};

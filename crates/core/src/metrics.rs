@@ -7,6 +7,7 @@
 use phigraph_device::cost::PhaseTimes;
 use phigraph_device::StepCounters;
 use phigraph_recover::{FailoverStats, IntegrityStats, RecoveryStats};
+use std::time::Instant;
 
 /// Measurements for one superstep on one device.
 #[derive(Clone, Debug, Default)]
@@ -31,6 +32,27 @@ pub struct StepReport {
 }
 
 impl StepReport {
+    /// Record a superstep that began at `started`. The per-chunk records
+    /// in `counters` are dropped here, capacity and all, so a long run
+    /// keeps only their aggregates.
+    pub fn new(
+        step: usize,
+        times: PhaseTimes,
+        comm_time: f64,
+        started: Instant,
+        mut counters: StepCounters,
+    ) -> Self {
+        counters.gen_chunks = Vec::new();
+        counters.proc_chunks = Vec::new();
+        StepReport {
+            step,
+            times,
+            comm_time,
+            wall: started.elapsed().as_secs_f64(),
+            counters,
+        }
+    }
+
     /// Simulated superstep total including communication.
     pub fn sim_total(&self) -> f64 {
         self.times.total + self.comm_time
@@ -272,12 +294,6 @@ pub fn combine_ranks(app: &str, reports: &[RunReport]) -> RunReport {
     }
 }
 
-/// Combine two lock-stepped device reports into the heterogeneous view —
-/// the N=2 case of [`combine_ranks`].
-pub fn combine_hetero(app: &str, dev0: &RunReport, dev1: &RunReport) -> RunReport {
-    combine_ranks(app, &[dev0.clone(), dev1.clone()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,7 +339,7 @@ mod tests {
             steps: vec![step_at(0, 2.0, 0.1), step_at(1, 1.0, 0.1)],
             ..Default::default()
         };
-        let c = combine_hetero("x", &a, &b);
+        let c = combine_ranks("x", &[a, b]);
         assert!((c.sim_exec() - 7.0).abs() < 1e-12, "max(1,2) + max(5,1)");
         assert_eq!(c.device, "CPU-MIC");
     }
@@ -431,7 +447,7 @@ mod tests {
         a.recovery.rollbacks = 1;
         let mut b = RunReport::default();
         b.recovery.retries = 2;
-        let c = combine_hetero("x", &a, &b);
+        let c = combine_ranks("x", &[a, b]);
         assert_eq!(c.recovery.rollbacks, 1);
         assert_eq!(c.recovery.retries, 2);
     }

@@ -23,6 +23,11 @@ cargo test -q --workspace --offline
 echo "==> cargo clippy -- -D warnings (offline)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> engine size (non-test lines of crates/core/src/engine; ROADMAP tracks it)"
+for f in crates/core/src/engine/*.rs; do
+    awk '/^#\[cfg\(test\)\]/{exit} {c++} END{print c+0}' "$f"
+done | awk '{s+=$1} END{print "    " s " lines"}'
+
 echo "==> observability smoke: run --trace-out + report on a toy graph"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT

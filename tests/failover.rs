@@ -349,6 +349,77 @@ fn dropped_exchange_rolls_back_to_snapshot_not_step_zero() {
     assert!(out.report.summary().contains("xchg drops=1"));
 }
 
+/// `--failover retry` on a dropped exchange: every rank rolls back and the
+/// replay lands on the plain run's values bit for bit, with exactly one
+/// rollback, one retry and one injected fault on the books.
+#[test]
+fn retry_policy_replays_a_dropped_exchange_bit_identically() {
+    let g = sweep_graph(71);
+    let p = even_partition(&g);
+    let app = Sssp { source: 0 };
+    let baseline = run_hetero(&app, &g, &p, specs(), sssp_configs(), PcieLink::gen2_x16());
+    let fcfg = FailoverConfig::default().with_policy(FailoverPolicy::Retry);
+    let plan = FaultPlan::single(2, FaultKind::DropExchange);
+    let out = run_failover(&app, &g, &p, sssp_configs(), &fcfg, Some(plan.injector()));
+    assert_eq!(out.values, baseline.values);
+    let r = out.report.recovery;
+    assert_eq!(
+        (r.rollbacks, r.retries, r.faults_injected),
+        (1, 1, 1),
+        "{r:?}"
+    );
+    assert!(!r.degraded);
+    assert_eq!(out.report.device, "CPU-MIC");
+}
+
+/// The same rollback on a 3-rank fabric: rank 1 drops its first link (to
+/// rank 0), rank 2 observes the dead fabric, and all three retry together.
+#[test]
+fn retry_policy_replays_a_three_rank_dropped_exchange() {
+    let g = sweep_graph(73);
+    let p = n_partition(&g, 3);
+    let app = Sssp { source: 0 };
+    let baseline = run_hetero(
+        &app,
+        &g,
+        &even_partition(&g),
+        specs(),
+        sssp_configs(),
+        PcieLink::gen2_x16(),
+    );
+    let fcfg = FailoverConfig::default().with_policy(FailoverPolicy::Retry);
+    let plan = FaultPlan::new().with(2, FaultKind::DropExchange, 1);
+    let out = run_n_failover(&app, &g, &p, 3, &fcfg, Some(plan.injector()));
+    assert_eq!(out.values, baseline.values);
+    assert_eq!(out.report.recovery.rollbacks, 1);
+    assert_eq!(out.report.recovery.retries, 1);
+    assert!(!out.report.recovery.degraded);
+    assert_eq!(out.report.device, "CPU-MICx2");
+}
+
+/// Once the retry budget is spent, the next dropped exchange degrades the
+/// run to the sequential engine, which still converges correctly.
+#[test]
+fn retry_policy_degrades_to_seq_once_the_budget_is_spent() {
+    let g = sweep_graph(79);
+    let p = even_partition(&g);
+    let app = Sssp { source: 0 };
+    let baseline = run_hetero(&app, &g, &p, specs(), sssp_configs(), PcieLink::gen2_x16());
+    let fcfg = FailoverConfig::default().with_policy(FailoverPolicy::Retry);
+    // One drop per attempt, on alternating devices, with a one-retry budget.
+    let plan =
+        FaultPlan::new()
+            .with(1, FaultKind::DropExchange, 0)
+            .with(2, FaultKind::DropExchange, 1);
+    let [c0, c1] = sssp_configs();
+    let configs = [c0.with_max_retries(1), c1];
+    let out = run_failover(&app, &g, &p, configs, &fcfg, Some(plan.injector()));
+    assert_eq!(out.values, baseline.values, "degraded run still correct");
+    assert!(out.report.recovery.degraded);
+    assert_eq!(out.report.mode, "seq");
+    assert!(out.report.summary().contains("DEGRADED->seq"));
+}
+
 /// Even round-robin split across `n` ranks (mirrors [`even_partition`]).
 fn n_partition(g: &Csr, n: usize) -> DevicePartition {
     partition_n(g, PartitionScheme::RoundRobin, &Shares::even(n), 0)

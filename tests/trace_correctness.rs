@@ -274,3 +274,90 @@ fn hetero_trace_has_exchange_spans_and_both_devices() {
         "{names:?}"
     );
 }
+
+/// Phases recorded on the track named `name`.
+fn phases_on(snap: &phigraph_trace::TraceSnapshot, name: &str) -> Vec<phigraph_trace::Phase> {
+    snap.threads
+        .iter()
+        .filter(|t| t.name == name)
+        .flat_map(|t| t.spans.iter().map(|s| s.phase))
+        .collect()
+}
+
+/// A single device is the one-rank case of the rank loop: its rank-level
+/// spans sit on one `dev0` track, and with no peers there is no exchange
+/// span, no rank-level insert span and no exchange round-trip sample.
+#[test]
+fn single_device_trace_is_one_rank_without_exchange() {
+    use phigraph_trace::{HistKind, Phase};
+    let g = graph();
+    for (label, cfg) in [
+        ("lock", EngineConfig::locking()),
+        ("pipe", EngineConfig::pipelined().with_host_threads(2)),
+    ] {
+        let trace = Trace::new(TraceLevel::Phase);
+        let out = run_single(
+            &Sssp { source: 3 },
+            &g,
+            DeviceSpec::xeon_e5_2680(),
+            &cfg.with_trace(trace.clone()),
+        );
+        assert_eq!(out.report.mode, label);
+        let snap = trace.snapshot();
+        let ranks: Vec<&str> = snap
+            .threads
+            .iter()
+            .map(|t| t.name.as_str())
+            .filter(|n| n.starts_with("dev") && !n.contains('/'))
+            .collect();
+        assert_eq!(ranks, ["dev0"], "{label}");
+        let dev0 = phases_on(&snap, "dev0");
+        for p in [
+            Phase::Superstep,
+            Phase::Generate,
+            Phase::Process,
+            Phase::Update,
+        ] {
+            assert!(dev0.contains(&p), "{label}: {p:?} missing from {dev0:?}");
+        }
+        assert!(!dev0.contains(&Phase::Insert), "{label}: {dev0:?}");
+        let all = snap.threads.iter().flat_map(|t| &t.spans);
+        assert!(
+            all.into_iter().all(|s| s.phase != Phase::Exchange),
+            "{label}"
+        );
+        let rtt = snap
+            .hists
+            .iter()
+            .find(|h| h.name == HistKind::ExchangeRttUs.name())
+            .expect("exchange histogram");
+        assert_eq!(rtt.count, 0, "{label}");
+    }
+}
+
+/// Two ranks exchange every superstep, so each rank track carries its own
+/// exchange spans.
+#[test]
+fn hetero_trace_has_exchange_spans_on_both_rank_tracks() {
+    use phigraph_trace::Phase;
+    let g = graph();
+    let p = partition(&g, PartitionScheme::hybrid_default(), Ratio::new(1, 1), 7);
+    let trace = Trace::new(TraceLevel::Phase);
+    run_hetero(
+        &Sssp { source: 3 },
+        &g,
+        &p,
+        [DeviceSpec::xeon_e5_2680(), DeviceSpec::xeon_phi_se10p()],
+        [
+            EngineConfig::locking().with_trace(trace.clone()),
+            EngineConfig::locking().with_trace(trace.clone()),
+        ],
+        PcieLink::gen2_x16(),
+    );
+    let snap = trace.snapshot();
+    for dev in ["dev0", "dev1"] {
+        let phases = phases_on(&snap, dev);
+        assert!(phases.contains(&Phase::Exchange), "{dev}: {phases:?}");
+        assert!(phases.contains(&Phase::Insert), "{dev}: {phases:?}");
+    }
+}

@@ -52,6 +52,7 @@ mod cmd_tune;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    exit_quietly_on_broken_pipe();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
         eprintln!("{}", usage());
@@ -83,6 +84,26 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// Output cut short by its reader (`phigraph info g.bin | head -1`) is an
+/// ordinary end for a command-line tool. `println!` panics when stdout is a
+/// closed pipe, so every command's printing ends up here: that one panic
+/// becomes a quiet exit 0, and any other panic keeps the default report.
+fn exit_quietly_on_broken_pipe() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info
+            .payload()
+            .downcast_ref::<String>()
+            .map_or("", String::as_str);
+        if msg.starts_with("failed printing to stdout")
+            && msg.to_ascii_lowercase().contains("broken pipe")
+        {
+            std::process::exit(0);
+        }
+        default(info)
+    }));
 }
 
 fn usage() -> &'static str {

@@ -95,6 +95,28 @@ fn generate_info_partition_run_pipeline() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Output into a closed pipe (`phigraph info g.bin | head -1`) ends the
+/// command quietly: exit 0, no panic report.
+#[test]
+fn info_into_a_closed_pipe_exits_cleanly() {
+    let dir = tmpdir("epipe");
+    let graph = dir.join("g.bin");
+    let graph_s = graph.to_str().unwrap();
+    let o = phigraph(&["generate", "gnm", graph_s, "--scale", "tiny", "--seed", "7"]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    // Close the read end before the child starts: its first write fails.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let o = Command::new(env!("CARGO_BIN_EXE_phigraph"))
+        .args(["info", graph_s])
+        .stdout(writer)
+        .output()
+        .expect("binary runs");
+    assert!(!stderr(&o).contains("panicked"), "{}", stderr(&o));
+    assert_eq!(o.status.code(), Some(0), "{}", stderr(&o));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn adjacency_format_round_trips_through_cli() {
     let dir = tmpdir("adj");

@@ -323,17 +323,6 @@ impl EngineConfig {
         }
     }
 
-    /// Resolved generation chunk size: explicit value, or an auto size
-    /// giving each simulated thread ~8 grabs (bounded so the per-grab
-    /// scheduling cost stays negligible).
-    pub fn resolved_gen_chunk(&self, owned: usize, spec: &DeviceSpec) -> usize {
-        if self.gen_chunk > 0 {
-            self.gen_chunk
-        } else {
-            (owned / (spec.threads() * 8).max(1)).clamp(8, 2048)
-        }
-    }
-
     /// Resolved processing chunk size (vertex groups per grab).
     pub fn resolved_proc_chunk(&self, groups: usize, spec: &DeviceSpec) -> usize {
         if self.proc_chunk > 0 {

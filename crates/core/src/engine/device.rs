@@ -318,11 +318,6 @@ impl<'g, P: VertexProgram> DeviceEngine<'g, P> {
         &self.csb.layout
     }
 
-    /// Currently active vertex count.
-    pub fn active_count(&self) -> u64 {
-        self.active.count()
-    }
-
     /// Raw per-vertex active flags (snapshotted by the checkpoint writer at
     /// the superstep barrier, alongside [`DeviceEngine::values`]).
     pub fn active_flags(&self) -> &[u8] {

@@ -1,10 +1,10 @@
-//! Live rank failover for the N-device fabric.
+//! The rollback driver over 1..N ranks, and live failover for the fabric.
 //!
-//! The plain rank drivers assume every device survives the whole run.
-//! Real heterogeneous deployments lose or stall *one* rank far more often
-//! than all of them, so this driver maintains a live membership and
-//! launches the one CSB rank loop (`engine/rank.rs`) over it,
-//! with a checkpoint writer, a deadline and a watchdog:
+//! The driver launches the one CSB rank loop (`engine/rank.rs`) with a
+//! [`Barrier`] over one snapshot store per rank and acts on how the launch
+//! ended. `run_recoverable` is its one-rank launch (no links, no failover
+//! config). [`run_ranks_failover`] launches the live membership with a
+//! deadline and a watchdog:
 //!
 //! * **Liveness**: each rank ticks a [`Heartbeat`] at every phase
 //!   boundary, a watchdog thread polls those beacons against the configured
@@ -36,23 +36,21 @@
 //!   lopsided barriers all ranks leave the loop at the same barrier and the
 //!   live ranks' shares are re-derived proportionally to the observed
 //!   throughputs.
-//! * **Rollback**: a dropped exchange (all parties observe it at the same
-//!   barrier) rolls every rank back to the newest common snapshot and
-//!   replays — bounded by the retry budget — instead of restarting the
-//!   whole run. [`FailoverPolicy::Retry`] applies the same rollback to a
-//!   lost rank.
+//! * **Rollback**: a dropped exchange or a fault exit rolls every rank back
+//!   to the newest common valid snapshot, under the retry budget with
+//!   backoff; past it the sequential engine finishes the run.
+//!   [`FailoverPolicy::Retry`] applies the same rollback to a lost rank.
 //!
-//! The 2-device path is the N = 2 instance of this machinery, not a
-//! parallel implementation: [`run_hetero_failover`] simply forwards to
-//! [`run_ranks_failover`].
+//! [`run_hetero_failover`] is the N = 2 form of [`run_ranks_failover`].
 //!
 //! [`Heartbeat`]: phigraph_device::Heartbeat
 
 use crate::api::VertexProgram;
 use crate::engine::config::EngineConfig;
 use crate::engine::device::DeviceEngine;
+use crate::engine::integrity::BarrierImage;
 use crate::engine::rank::{
-    agreed_cap, launch, merge_owned, Checkpointer, Exit, Launch, LoopOut, ResumePair,
+    agreed_cap, launch, merge_owned, Barrier, Exit, Launch, LoopOut, ResumePair,
 };
 use crate::engine::seq::run_seq_resume;
 use crate::metrics::{combine_ranks, RunOutput, RunReport, StepReport};
@@ -65,7 +63,7 @@ use phigraph_recover::{
     CheckpointStore, FailoverConfig, FailoverPolicy, FailoverStats, FaultKind, IntegrityStats,
     RecoveryStats, Snapshot,
 };
-use phigraph_trace::Phase;
+use phigraph_trace::{Phase, ThreadTracer};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -74,47 +72,69 @@ const REBALANCE_SEED: u64 = 7;
 
 type MergedState<V> = (usize, Vec<V>, Vec<u8>);
 
-/// Encode and save one rank's barrier snapshot into its store, honoring
-/// the keep window and the `CorruptCheckpoint` injection site of the
-/// engine's own config.
-fn write_device_checkpoint<P: VertexProgram>(
-    engine: &DeviceEngine<'_, P>,
-    rank: usize,
-    step: usize,
-    store: &Mutex<&mut dyn CheckpointStore>,
-    c: &mut StepCounters,
-) where
+/// The encoded snapshot of the barrier state superstep `step` starts from.
+fn snapshot_bytes<P: VertexProgram>(step: usize, values: &[P::Value], flags: &[u8]) -> Vec<u8>
+where
     P::Value: PodState,
 {
-    let policy = engine.config.recovery;
-    let next_step = step as u64 + 1;
-    let snap = Snapshot {
-        superstep: next_step,
+    Snapshot {
+        superstep: step as u64,
         app: P::NAME.to_string(),
         value_size: P::Value::STATE_SIZE as u16,
-        values: encode_state_slice(&engine.values),
-        active: engine.active_flags().to_vec(),
-    };
-    let mut bytes = snap.encode();
-    let corrupt = engine
-        .config
-        .fault_plan
-        .as_ref()
-        .is_some_and(|i| i.fire(step as u64, FaultKind::CorruptCheckpoint, rank as u8));
-    if corrupt {
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xAA;
-        c.faults_injected += 1;
+        values: encode_state_slice(values),
+        active: flags.to_vec(),
     }
-    let mut s = store.lock().expect("checkpoint store poisoned");
-    if s.save(next_step, &bytes).is_ok() {
-        c.checkpoints_written += 1;
-        c.checkpoint_bytes += bytes.len() as u64;
-        if policy.keep_snapshots > 0 {
-            let _ = s.retain_newest(policy.keep_snapshots);
+    .encode()
+}
+
+/// The driver's [`Barrier`]: each rank writes into its own store, and the
+/// integrity layers read state through [`PodState`].
+struct RankStores<'s>(Vec<Mutex<&'s mut dyn CheckpointStore>>);
+
+impl<P: VertexProgram> Barrier<P> for RankStores<'_>
+where
+    P::Value: PodState,
+{
+    /// Save one rank's snapshot into its store, honoring the keep window
+    /// and the `CorruptCheckpoint` site of the engine's own config. The
+    /// fault flips payload bytes *after* encoding (the write path breaks,
+    /// not the engine), so only the checksum finds it on the way back. A
+    /// failed save is not fatal: the previous snapshot still protects.
+    fn checkpoint(&self, rank: usize, e: &DeviceEngine<'_, P>, step: usize, c: &mut StepCounters) {
+        let mut bytes = snapshot_bytes::<P>(step + 1, &e.values, e.active_flags());
+        let plan = e.config.fault_plan.as_ref();
+        if plan.is_some_and(|i| i.fire(step as u64, FaultKind::CorruptCheckpoint, rank as u8)) {
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xFF;
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0xAA;
+            c.faults_injected += 1;
         }
+        let keep = e.config.recovery.keep_snapshots;
+        let mut s = self.0[rank].lock().expect("checkpoint store poisoned");
+        if s.save(step as u64 + 1, &bytes).is_ok() {
+            c.checkpoints_written += 1;
+            c.checkpoint_bytes += bytes.len() as u64;
+            if keep > 0 {
+                let _ = s.retain_newest(keep);
+            }
+        }
+    }
+
+    fn capture(&self, e: &DeviceEngine<'_, P>) -> BarrierImage<P::Value> {
+        BarrierImage::capture(e)
+    }
+
+    fn audit_state(&self, img: &BarrierImage<P::Value>, e: &DeviceEngine<'_, P>) -> Vec<usize> {
+        img.audit_state(e)
+    }
+
+    fn flip_state_bit(&self, e: &mut DeviceEngine<'_, P>, seed: u64) -> bool {
+        e.flip_state_bit(seed).is_some()
+    }
+
+    fn encode(&self, values: &[P::Value]) -> Vec<u8> {
+        encode_state_slice(values)
     }
 }
 
@@ -131,16 +151,14 @@ where
     P::Value: PodState,
 {
     let n = assign.len();
-    let mut lists: Vec<Vec<u64>> = membership
+    let lists: Vec<Vec<u64>> = membership
         .iter()
         .map(|&r| stores[r].lock().expect("checkpoint store poisoned").list())
         .collect();
-    let first = lists.remove(0);
-    let common: Vec<u64> = first
-        .into_iter()
-        .filter(|s| lists.iter().all(|l| l.contains(s)))
-        .collect();
-    'barrier: for k in common.into_iter().rev() {
+    let common = lists[0]
+        .iter()
+        .filter(|s| lists.iter().all(|l| l.contains(s)));
+    'barrier: for &k in common.rev() {
         let mut vals = Vec::with_capacity(membership.len());
         let mut flags = Vec::with_capacity(membership.len());
         for &r in membership {
@@ -172,36 +190,33 @@ where
 
 /// Clear the `membership` ranks' stores and save `state` as the single
 /// barrier snapshot in each (used after a rebalance or an eviction, when
-/// older snapshots were written under a now-stale assignment).
+/// older snapshots were written under a now-stale assignment). With no
+/// state (a failure before the first snapshot) the stores stay empty.
 fn reset_stores_with<P: VertexProgram>(
     stores: &[Mutex<&mut dyn CheckpointStore>],
     membership: &[usize],
     step: usize,
-    values: &[P::Value],
-    flags: &[u8],
+    state: Option<&(Vec<P::Value>, Vec<u8>)>,
 ) where
     P::Value: PodState,
 {
-    let snap = Snapshot {
-        superstep: step as u64,
-        app: P::NAME.to_string(),
-        value_size: P::Value::STATE_SIZE as u16,
-        values: encode_state_slice(values),
-        active: flags.to_vec(),
-    };
-    let bytes = snap.encode();
+    let bytes = state.map(|(values, flags)| snapshot_bytes::<P>(step, values, flags));
     for &r in membership {
         let mut s = stores[r].lock().expect("checkpoint store poisoned");
         for k in s.list() {
             let _ = s.remove(k);
         }
-        let _ = s.save(step as u64, &bytes);
+        if let Some(b) = &bytes {
+            let _ = s.save(step as u64, b);
+        }
     }
 }
 
 /// Fold one launch into the driver's state: each rank's step reports
-/// replace its reports from `from` on, its integrity counters are added to
-/// `istats`, and the values and active flags are merged by `assign`.
+/// replace its reports from `from` on, and the values and active flags are
+/// merged by `assign`. Integrity counters, injected faults and checkpoint
+/// writes are counted for every step the launch ran, including steps a
+/// later rollback discards.
 fn splice<P: VertexProgram>(
     outs: Vec<LoopOut<P>>,
     ranks: &[usize],
@@ -209,11 +224,17 @@ fn splice<P: VertexProgram>(
     assign: &[u8],
     dev_steps: &mut [Vec<StepReport>],
     istats: &mut IntegrityStats,
+    rstats: &mut RecoveryStats,
 ) -> (Vec<P::Value>, Vec<u8>) {
     let mut vals = Vec::with_capacity(outs.len());
     let mut flags = Vec::with_capacity(outs.len());
     for (o, &r) in outs.into_iter().zip(ranks) {
         istats.accumulate(&o.integ);
+        rstats.faults_injected += o.faults;
+        for s in &o.steps {
+            rstats.checkpoints_written += s.counters.checkpoints_written;
+            rstats.checkpoint_bytes += s.counters.checkpoint_bytes;
+        }
         dev_steps[r].retain(|s| s.step < from);
         dev_steps[r].extend(o.steps);
         vals.push((r, o.values));
@@ -257,8 +278,43 @@ pub fn run_ranks_failover<P: VertexProgram>(
 where
     P::Value: PodState,
 {
+    assert!(specs.len() >= 2, "a rank fabric needs at least two devices");
+    run_rollback(
+        program,
+        graph,
+        partition_in,
+        specs,
+        configs,
+        link,
+        Some(fcfg),
+        stores,
+        resume,
+    )
+}
+
+/// The one rollback driver, over 1..N ranks. It launches the rank loop
+/// with a [`Barrier`] over `stores` and acts on how the launch ended:
+/// rank losses by `fcfg`'s policy, dropped exchanges and fault exits by a
+/// rollback under the retry budget, a straggler by a rebalance, and a
+/// spent budget by the sequential engine. Without `fcfg` (a single
+/// device) there is no deadline, no watchdog and no straggler detection,
+/// and a lost rank is rolled back like any other transient fault.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_rollback<P: VertexProgram>(
+    program: &P,
+    graph: &Csr,
+    partition_in: &DevicePartition,
+    specs: &[DeviceSpec],
+    configs: &[EngineConfig],
+    link: PcieLink,
+    fcfg: Option<&FailoverConfig>,
+    stores: Vec<&mut dyn CheckpointStore>,
+    resume: bool,
+) -> RunOutput<P::Value>
+where
+    P::Value: PodState,
+{
     let n = specs.len();
-    assert!(n >= 2, "a rank fabric needs at least two devices");
     assert_eq!(configs.len(), n, "one config per rank");
     assert_eq!(stores.len(), n, "one checkpoint store per rank");
     assert_eq!(partition_in.assign.len(), graph.num_vertices());
@@ -268,9 +324,9 @@ where
     );
     let policy = configs[0].recovery;
     let cap = agreed_cap(program, configs);
-    let stores: Vec<Mutex<&mut dyn CheckpointStore>> = stores.into_iter().map(Mutex::new).collect();
-    let write_ckpt: &Checkpointer<'_, P> =
-        &|r, engine, step, c| write_device_checkpoint(engine, r, step, &stores[r], c);
+    let stores = RankStores(stores.into_iter().map(Mutex::new).collect());
+    let barrier: &dyn Barrier<P> = &stores;
+    let stores = &stores.0;
     // Migration replays relaunch the rank loop with every fault disarmed.
     let disarmed: Vec<EngineConfig> = configs
         .iter()
@@ -293,24 +349,23 @@ where
     let mut retry = 0u32;
     let mut last_resume: Option<usize> = None;
     // Driver-thread track: migrations and rebalances happen here, outside
-    // any rank loop.
-    let drv_tracer = configs[0].tracer("driver", 900);
+    // any rank loop (and only under a failover config).
+    let drv_tracer = fcfg.map_or_else(ThreadTracer::disabled, |_| configs[0].tracer("driver", 900));
     let wall_start = Instant::now();
 
     if resume {
-        if let Some((k, vals, flags)) = load_merged::<P>(&stores, &live, &part.assign, &mut rstats)
-        {
+        if let Some((k, vals, flags)) = load_merged::<P>(stores, &live, &part.assign, &mut rstats) {
             start_step = k;
             resume_state = Some((vals, flags));
         }
     }
 
-    // Assemble the final combined output from per-rank step report vecs
-    // (ragged after evictions: an evicted rank's reports simply stop at
-    // its eviction barrier).
+    // Assemble the final output from per-rank step report vecs (ragged
+    // after evictions: an evicted rank's reports simply stop at its
+    // eviction barrier). A single device reports under its own mode.
     let finish = |dev_steps: Vec<Vec<StepReport>>,
                   values: Vec<P::Value>,
-                  mut rstats: RecoveryStats,
+                  rstats: RecoveryStats,
                   mut fstats: FailoverStats,
                   istats: IntegrityStats,
                   last_resume: Option<usize>,
@@ -327,29 +382,24 @@ where
             fstats.resume_step = k as u64;
             fstats.supersteps_replayed = total.saturating_sub(k as u64);
         }
-        rstats.checkpoints_written += dev_steps
-            .iter()
-            .flatten()
-            .map(|s| s.counters.checkpoints_written)
-            .sum::<u64>();
-        rstats.checkpoint_bytes += dev_steps
-            .iter()
-            .flatten()
-            .map(|s| s.counters.checkpoint_bytes)
-            .sum::<u64>();
+        let own = configs[0].mode.name();
+        let mode = if n > 1 { "cpu-mic" } else { own };
         let reports: Vec<RunReport> = dev_steps
             .into_iter()
             .enumerate()
             .map(|(r, steps)| RunReport {
                 app: P::NAME.to_string(),
                 device: specs[r].name.to_string(),
-                mode: "cpu-mic".to_string(),
+                mode: mode.to_string(),
                 steps,
                 wall,
                 ..Default::default()
             })
             .collect();
-        let mut report = combine_ranks(P::NAME, &reports);
+        let mut report = match &reports[..] {
+            [one] => one.clone(),
+            _ => combine_ranks(P::NAME, &reports),
+        };
         report.recovery = rstats;
         report.failover = fstats;
         report.integrity = istats;
@@ -365,7 +415,7 @@ where
         ($survivor:expr) => {{
             rstats.degraded = true;
             fstats.degraded_single = true;
-            let merged = load_merged::<P>(&stores, &live, &part.assign, &mut rstats);
+            let merged = load_merged::<P>(stores, &live, &part.assign, &mut rstats);
             if let Some((k, _, _)) = &merged {
                 last_resume = Some(*k);
             }
@@ -398,7 +448,7 @@ where
             if backoff > 0 {
                 std::thread::sleep(Duration::from_millis(backoff));
             }
-            let (k, state) = match load_merged::<P>(&stores, &live, &part.assign, &mut rstats) {
+            let (k, state) = match load_merged::<P>(stores, &live, &part.assign, &mut rstats) {
                 Some((k, vals, flags)) => (k, Some((vals, flags))),
                 None => (0, None),
             };
@@ -414,15 +464,16 @@ where
             &Launch {
                 program,
                 graph,
-                assign: Some(&part.assign),
+                // One rank owns every vertex: its engine needs no owner map.
+                assign: (n > 1).then_some(&part.assign[..]),
                 ranks: &live,
                 specs,
                 configs,
                 link,
                 cap,
                 start_step,
-                checkpoint: Some(write_ckpt),
-                fcfg: Some(fcfg),
+                barrier: Some(barrier),
+                fcfg,
                 rebalance: rebalance_enabled,
                 slowed: &slowed,
             },
@@ -444,6 +495,7 @@ where
             &part.assign,
             &mut dev_steps,
             &mut istats,
+            &mut rstats,
         );
 
         // Eviction verdict: self-reported crash/hang exits mark their rank
@@ -494,19 +546,17 @@ where
                 .copied()
                 .filter(|r| !evict_set.contains(r))
                 .collect();
-            if survivors.is_empty() {
-                // Every rank gone: nothing to migrate onto. Degrade to a
-                // sequential run from the last barrier.
-                degrade_seq!(live[0]);
-            }
-            match fcfg.policy {
-                FailoverPolicy::Migrate => {
+            // With every rank gone there is nothing to migrate onto; the
+            // sequential engine takes over from the last barrier.
+            let survivor = survivors.first().copied().unwrap_or(live[0]);
+            match fcfg.map_or(FailoverPolicy::Retry, |f| f.policy) {
+                FailoverPolicy::Migrate if !survivors.is_empty() => {
                     fstats.migrations += 1;
                     rstats.rollbacks += 1;
                     for &r in &evict_set {
                         fstats.evicted_ranks |= 1u64 << r;
                     }
-                    let merged = load_merged::<P>(&stores, &live, &part.assign, &mut rstats);
+                    let merged = load_merged::<P>(stores, &live, &part.assign, &mut rstats);
                     let (k, mut state) = match merged {
                         Some((k, vals, flags)) => (k, Some((vals, flags))),
                         None => (0, None),
@@ -536,7 +586,7 @@ where
                                 link,
                                 cap: if terminal { cap } else { s_star },
                                 start_step: k,
-                                checkpoint: Some(write_ckpt),
+                                barrier: Some(barrier),
                                 fcfg: None,
                                 rebalance: false,
                                 slowed: &[],
@@ -544,8 +594,15 @@ where
                             state,
                         );
                         debug_assert!(outs.iter().all(|o| o.exit == Exit::Done));
-                        let (vals, flags) =
-                            splice(outs, &live, k, &part.assign, &mut dev_steps, &mut istats);
+                        let (vals, flags) = splice(
+                            outs,
+                            &live,
+                            k,
+                            &part.assign,
+                            &mut dev_steps,
+                            &mut istats,
+                            &mut rstats,
+                        );
                         if terminal {
                             fstats.degraded_single = true;
                             return finish(
@@ -567,24 +624,12 @@ where
                     // assignment: replace them with the barrier state the
                     // survivors resume from (none when the failure struck
                     // at step 0 before any snapshot: restart fresh).
-                    match &state {
-                        Some((vals, flags)) => {
-                            reset_stores_with::<P>(&stores, &live, s_star, vals, flags)
-                        }
-                        None => {
-                            for &r in &live {
-                                let mut st = stores[r].lock().expect("checkpoint store poisoned");
-                                for key in st.list() {
-                                    let _ = st.remove(key);
-                                }
-                            }
-                        }
-                    }
+                    reset_stores_with::<P>(stores, &live, s_star, state.as_ref());
                     resume_state = state;
                     continue;
                 }
-                FailoverPolicy::Retry => roll_back!(survivors[0]),
-                FailoverPolicy::Off => degrade_seq!(survivors[0]),
+                FailoverPolicy::Retry => roll_back!(survivor),
+                _ => degrade_seq!(survivor),
             }
         }
 
@@ -624,17 +669,23 @@ where
             // Older snapshots were written under the stale assignment:
             // replace them with the merged barrier state.
             start_step = sr + 1;
-            reset_stores_with::<P>(&stores, &live, start_step, &values, &flags);
             resume_state = Some((values, flags));
+            reset_stores_with::<P>(stores, &live, start_step, resume_state.as_ref());
             rebalance_enabled = false; // one rebalance per run
             continue;
         }
 
-        if exits.iter().any(|e| matches!(e, Exit::ExchangeDrop(_))) {
-            // A dropped exchange is observed by both ends of the faulted
-            // link at the same barrier; other ranks see dead links as the
-            // pair tears down. Roll everyone back together.
-            fstats.exchange_drops += 1;
+        // A dropped exchange is observed by both ends of the faulted link
+        // at the same barrier; other ranks see dead links as the pair tears
+        // down. A fault exit (one rank, no links) is the same transient
+        // event. Roll everyone back together.
+        if let Some(e) = exits
+            .iter()
+            .find(|e| matches!(e, Exit::ExchangeDrop(_) | Exit::Fault(_)))
+        {
+            if matches!(e, Exit::ExchangeDrop(_)) {
+                fstats.exchange_drops += 1;
+            }
             rstats.faults_injected += 1;
             roll_back!(live[0]);
         }

@@ -20,10 +20,12 @@
 //!    from the barrier image.
 //!
 //! Escalation ladder: group recompute (rung 1) → full-step replay (rung 2)
-//! → checkpoint rollback with bounded retries (rung 3, the existing
-//! [`RecoveryPolicy`] machinery) → degraded sequential (rung 4). Every rung
-//! is counted in [`IntegrityStats`], surfaced through
-//! [`RunReport::integrity`].
+//! → checkpoint rollback with bounded retries (rung 3, the rollback
+//! driver's [`RecoveryPolicy`] ladder) → degraded sequential (rung 4).
+//! Every rung is counted in [`IntegrityStats`], surfaced through
+//! [`RunReport::integrity`]. Rungs 1 and 2 run in the rank loop's step on a
+//! rank with a snapshot store and no links (the recovering single-device
+//! driver); a linked rank's messages are guarded by the frames alone.
 //!
 //! The whole subsystem sits behind [`IntegrityMode`]: `off` costs one
 //! relaxed atomic load at each guarded site and is bit-identical to the

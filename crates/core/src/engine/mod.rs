@@ -1,12 +1,12 @@
 //! Execution engines.
 //!
 //! The CSB drivers — [`run_single`] (locking and pipelined modes),
-//! [`run_ranks`]/[`run_hetero`] and [`run_ranks_failover`] — all launch the
-//! one rank loop (`engine/rank.rs`) over a set of ranks: a single device is the
-//! one-rank case with no links. [`run_recoverable`] keeps its own loop
-//! because its fault sites and integrity rungs sit inside the superstep.
-//! The flat (`omp`) and sequential engines and the object-message path
-//! ([`obj`]) are separate engines with their own loops.
+//! [`run_ranks`]/[`run_hetero`], [`run_ranks_failover`] and
+//! [`run_recoverable`] — all launch the one rank loop (`engine/rank.rs`)
+//! over a set of ranks: a single device is the one-rank case with no links,
+//! and the last two share one rollback driver. The flat (`omp`) and
+//! sequential engines and the object-message path ([`obj`]) are separate
+//! engines with their own loops.
 
 pub mod config;
 pub mod device;

@@ -20,7 +20,13 @@
 //!   destination, and the payloads are exchanged one link at a time in
 //!   ascending peer order. Sends never block, so the mesh schedule is
 //!   deadlock-free.
-//! * **Checkpoint writer.** With none, no barrier snapshots are written.
+//! * **Barrier.** With none, no snapshots are written. A rank with a
+//!   [`Barrier`] and no links also runs the integrity layers in its step:
+//!   the fail-stop and SDC injection sites, the state and group audits with
+//!   rung-1 heals, and the app audit with a rung-2 replay of the step. What
+//!   they cannot heal ends the rank with [`Exit::Fault`] for the driver to
+//!   roll back. A linked rank's messages cross the wire, which
+//!   `framed_exchange` guards instead.
 //! * **Failover config.** With none, exchanges wait without a deadline, no
 //!   straggler vector is kept and no watchdog thread runs.
 //!
@@ -33,7 +39,7 @@
 use crate::api::VertexProgram;
 use crate::engine::config::EngineConfig;
 use crate::engine::device::DeviceEngine;
-use crate::engine::integrity::framed_exchange;
+use crate::engine::integrity::{framed_exchange, BarrierImage, IntegrityCtx};
 use crate::metrics::StepReport;
 use phigraph_comm::message::wire_bytes;
 use phigraph_comm::{combine_messages, mesh, Endpoint, ExchangeError, PcieLink, WireMsg};
@@ -51,9 +57,21 @@ const UNDETECTED: u64 = u64::MAX;
 /// Values and active flags to restore every rank's engine from.
 pub(crate) type ResumePair<V> = Option<(Vec<V>, Vec<u8>)>;
 
-/// Writes one rank's barrier snapshot: `(rank, engine, step, counters)`.
-pub(crate) type Checkpointer<'a, P> =
-    dyn Fn(usize, &DeviceEngine<'_, P>, usize, &mut StepCounters) + Sync + 'a;
+/// A recovering driver's hold on every rank's barrier: the snapshot
+/// writer, and the state codec of the integrity layers. Both need
+/// `P::Value: PodState`, which the plain drivers do not ask of a program.
+pub(crate) trait Barrier<P: VertexProgram>: Sync {
+    /// Write `rank`'s snapshot of the state superstep `step + 1` starts from.
+    fn checkpoint(&self, rank: usize, e: &DeviceEngine<'_, P>, step: usize, c: &mut StepCounters);
+    /// Image the engine's barrier state.
+    fn capture(&self, e: &DeviceEngine<'_, P>) -> BarrierImage<P::Value>;
+    /// The vertex groups whose state no longer matches `img`.
+    fn audit_state(&self, img: &BarrierImage<P::Value>, e: &DeviceEngine<'_, P>) -> Vec<usize>;
+    /// Flip one seeded bit of the barrier state; `false` if nothing flipped.
+    fn flip_state_bit(&self, e: &mut DeviceEngine<'_, P>, seed: u64) -> bool;
+    /// The values as bytes, to tell a replayed state from the first one.
+    fn encode(&self, values: &[P::Value]) -> Vec<u8>;
+}
 
 /// How one rank loop ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,6 +89,9 @@ pub(crate) enum Exit {
     PeerTimeout(usize, u64),
     /// The exchange was dropped on a link (both ends observe this).
     ExchangeDrop(usize),
+    /// A fail-stop fault site fired, or an integrity layer could not heal
+    /// what it detected, on a rank with a barrier and no links.
+    Fault(usize),
     /// An injected `PartitionLink` severed the link `(low, high)`; the
     /// lower rank armed the fault and names the pair so the driver can
     /// evict the deterministic side.
@@ -98,8 +119,12 @@ pub(crate) struct LoopOut<P: VertexProgram> {
     pub(crate) slowed: bool,
     /// Sum of the advertised (straggler-model) step times.
     pub(crate) sim_adv_total: f64,
-    /// Frame-integrity counters from this rank's exchanges.
+    /// Integrity counters: frame checks on a linked rank, the layers'
+    /// audits and heals on a rank with a barrier and no links.
     pub(crate) integ: IntegrityStats,
+    /// Faults injected on this rank, counted from every step's counters,
+    /// including the steps a rung-2 replay redoes or a fault exit cuts off.
+    pub(crate) faults: u64,
     /// Host seconds from engine construction to the loop's end.
     pub(crate) wall: f64,
     /// For a lost rank under a watchdog: milliseconds past the deadline
@@ -126,7 +151,7 @@ pub(crate) struct Launch<'a, P: VertexProgram> {
     /// Every rank stops before this superstep.
     pub(crate) cap: usize,
     pub(crate) start_step: usize,
-    pub(crate) checkpoint: Option<&'a Checkpointer<'a, P>>,
+    pub(crate) barrier: Option<&'a dyn Barrier<P>>,
     pub(crate) fcfg: Option<&'a FailoverConfig>,
     /// Whether straggler detection may end the launch (needs `fcfg`).
     pub(crate) rebalance: bool,
@@ -213,7 +238,7 @@ pub(crate) fn merge_owned<T>(
     merged
 }
 
-/// Launch `specs.len()` ranks with no checkpoints, no deadline and no
+/// Launch `specs.len()` ranks with no barrier, no deadline and no
 /// watchdog — the plain drivers. A rank that ends with anything but
 /// global termination is a fault this launch cannot survive.
 pub(crate) fn launch_plain<P: VertexProgram>(
@@ -236,7 +261,7 @@ pub(crate) fn launch_plain<P: VertexProgram>(
             link,
             cap: agreed_cap(program, configs),
             start_step: 0,
-            checkpoint: None,
+            barrier: None,
             fcfg: None,
             rebalance: false,
             slowed: &[],
@@ -266,8 +291,9 @@ pub(crate) fn agreed_cap<P: VertexProgram>(program: &P, configs: &[EngineConfig]
 /// One rank's superstep loop. Besides the phases it ticks a heartbeat at
 /// every phase boundary and hosts the step-start crash/hang/slow injection
 /// sites, link-partition arming on the lower end of each link, per-link
-/// exchanges (with a deadline under a failover config), barrier snapshots
-/// and symmetric straggler detection from the N-vector of step times
+/// exchanges (with a deadline under a failover config), barrier snapshots,
+/// the integrity layers of a rank with a barrier and no links, and
+/// symmetric straggler detection from the N-vector of step times
 /// piggybacked on every exchange.
 fn rank_loop<P: VertexProgram>(
     l: &Launch<'_, P>,
@@ -297,6 +323,14 @@ fn rank_loop<P: VertexProgram>(
     let deadline = l.fcfg.map(FailoverConfig::deadline);
     let straggler = l.fcfg.filter(|f| l.rebalance && f.rebalance_after > 0);
     let vectorized = config.vectorized && P::SIMD_REDUCIBLE;
+    // A rank with a barrier and no links runs the integrity layers; the
+    // barrier image they audit and heal from is kept when an audit reads it.
+    let layers = l.barrier.filter(|_| eps.is_empty());
+    let mut integ = IntegrityCtx::new(config);
+    engine.set_integrity_audit(layers.is_some() && integ.audits_messages());
+    let mut image = layers
+        .filter(|_| integ.needs_image())
+        .map(|b| b.capture(&engine));
     // Destination rank -> outgoing link index (links are peer-ascending).
     let mut bucket_of = vec![usize::MAX; eps.iter().map(|e| e.peer + 1).max().unwrap_or(0)];
     for (i, ep) in eps.iter().enumerate() {
@@ -308,7 +342,7 @@ fn rank_loop<P: VertexProgram>(
     let mut base_times: Option<Vec<f64>> = None;
     let mut consec_slow = 0u32;
     let mut sim_adv_total = 0.0f64;
-    let mut integ = IntegrityStats::default();
+    let mut faults = 0u64;
     let mut exit = Exit::Done;
     let mut keep_alive = Vec::new();
 
@@ -344,136 +378,243 @@ fn rank_loop<P: VertexProgram>(
                 slowed = true;
             }
         }
+        // The layers' injection sites (fire-once, so a replay runs clean).
+        let inj = config.fault_plan.as_ref().filter(|_| layers.is_some());
+        let fires = |k: FaultKind| inj.is_some_and(|i| i.fire(step as u64, k, dev));
         let t0 = Instant::now();
         let _step_span = tracer.span(Phase::Superstep, step as u32);
-        let mut c = engine.begin_step();
-        let remote = {
-            let _g = tracer.span(Phase::Generate, step as u32);
-            engine.generate(&mut c)
-        };
-        hb.tick();
-        hb_count += 1;
-        let my_any = c.msgs_total() > 0;
         let mut peer_any = false;
         let mut peer_times: Vec<(usize, f64)> = Vec::with_capacity(eps.len());
         let mut comm_time = 0.0f64;
-
-        if eps.is_empty() {
-            debug_assert!(
-                remote.is_empty(),
-                "a rank with no peers sent remote messages"
-            );
-            engine.finalize_insertion_stats(&mut c);
-            // Mid-superstep cancellation point: the partial step is
-            // abandoned (values still hold the last completed barrier).
-            if config.cancelled() {
-                break;
+        // The first run's state while a rung-2 replay of the step runs.
+        let mut suspect: Option<Vec<u8>> = None;
+        let (mut c, my_any) = loop {
+            let mut c = engine.begin_step();
+            // A fault the layers cannot heal: drop the step, roll back.
+            macro_rules! fault {
+                () => {{
+                    faults += c.faults_injected;
+                    exit = Exit::Fault(step);
+                    break 'run;
+                }};
             }
-        } else {
-            let assign = l.assign.expect("a rank with peers needs an assignment");
-            c.remote_before_combine = remote.len() as u64;
-            // Bucket by destination rank (generation order preserved within
-            // a bucket), then combine per link ("the combination result is
-            // sent to the other device as a single MPI message").
-            let mut buckets: Vec<Vec<WireMsg<P::Msg>>> =
-                (0..eps.len()).map(|_| Vec::new()).collect();
-            for msg in remote {
-                buckets[bucket_of[assign[msg.dst as usize] as usize]].push(msg);
+            // SDC site: a bit of barrier state rots between barriers.
+            if fires(FaultKind::BitFlipState)
+                && layers.is_some_and(|b| b.flip_state_bit(&mut engine, step as u64 ^ 0x5DC1_57A7))
+            {
+                c.faults_injected += 1;
             }
-            let mut outgoing: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
-            for b in buckets {
-                let (combined, _) = combine_messages::<P::Msg, P::Reduce>(b);
-                c.remote_after_combine += combined.len() as u64;
-                outgoing.push(combined);
-            }
-            // Arm injected link faults before exchanging. A partition is
-            // armed by the lower end of the link (fire-once, so exactly one
-            // side arms) and remembered so the resulting drop is attributed
-            // to the partition, not a generic exchange fault.
-            let mut partitioned: Option<usize> = None;
-            if let Some(inj) = &config.fault_plan {
-                if inj.fire(step as u64, FaultKind::DropExchange, dev) {
-                    eps[0].inject_fault();
-                }
-                for ep in &eps {
-                    if ep.peer > rank
-                        && inj.fire(
-                            step as u64,
-                            FaultKind::partition_link(dev, ep.peer as u8),
-                            0,
-                        )
-                    {
-                        ep.inject_fault();
-                        partitioned = Some(ep.peer);
+            // State digest audit (every step in full mode, scrub boundaries
+            // otherwise). Rung 1: heal rotted groups straight from the image.
+            let audit = image.as_ref().filter(|_| integ.audits_state(step));
+            if let (Some(b), Some(img)) = (layers, audit) {
+                integ.stats.state_checks += 1;
+                integ.stats.scrub_passes += u64::from(integ.is_scrub_step(step));
+                let bad = b.audit_state(img, &engine);
+                if !bad.is_empty() {
+                    integ.stats.state_detections += bad.len() as u64;
+                    integ.stats.quarantined_groups += bad.len() as u64;
+                    engine.heal_state_groups(&bad, &img.values, &img.flags);
+                    if !b.audit_state(img, &engine).is_empty() {
+                        // The image cannot reproduce its own digest.
+                        fault!();
                     }
+                    integ.stats.group_heals += bad.len() as u64;
                 }
             }
-            let x0 = Instant::now();
-            let xspan = tracer.span(Phase::Exchange, step as u32);
-            let mut incoming_all: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
-            let mut fail: Option<Exit> = None;
-            // Frame integrity (when configured) seals, verifies and heals
-            // corrupt frames with a bounded verdict-synced re-exchange; with
-            // integrity off this is the plain lock-step exchange.
-            for (ep, out) in eps.iter().zip(outgoing) {
-                let bytes_out = wire_bytes::<P::Msg>(out.len());
-                let res = framed_exchange(
-                    ep,
-                    out,
-                    bytes_out,
-                    my_any,
-                    prev_adv,
-                    deadline,
-                    step as u64,
-                    dev,
-                    config.integrity,
-                    config.fault_plan.as_ref(),
-                    &mut integ,
-                );
-                match res {
-                    Ok((incoming, peer, xstats)) => {
-                        peer_any |= peer.any_active;
-                        peer_times.push((ep.peer, peer.step_time));
-                        c.comm_bytes += xstats.bytes_sent + xstats.bytes_recv;
-                        comm_time += xstats.sim_time;
-                        incoming_all.push(incoming);
-                    }
-                    Err(e) => {
-                        fail = Some(match e {
-                            ExchangeError::Dropped(_) if partitioned == Some(ep.peer) => {
-                                Exit::LinkPartitioned(step, dev, ep.peer as u8)
-                            }
-                            ExchangeError::Dropped(_) => Exit::ExchangeDrop(step),
-                            ExchangeError::Timeout(t) => Exit::PeerTimeout(step, t.waited_ms),
-                            ExchangeError::PeerDead => Exit::PeerDead(step),
-                        });
-                        break;
-                    }
-                }
+            // Fail-stop site: a worker dies during generation (seen at join).
+            if fires(FaultKind::KillWorker) {
+                fault!();
             }
-            drop(xspan);
-            config.record_hist(HistKind::ExchangeRttUs, x0.elapsed().as_micros() as u64);
+            let remote = {
+                let _g = tracer.span(Phase::Generate, step as u32);
+                engine.generate(&mut c)
+            };
             hb.tick();
             hb_count += 1;
-            if let Some(f) = fail {
-                exit = f;
-                break 'run;
+            let my_any = c.msgs_total() > 0;
+
+            if eps.is_empty() {
+                debug_assert!(
+                    remote.is_empty(),
+                    "a rank with no peers sent remote messages"
+                );
+                // SDC site: a buffered message bit flips inside the CSB.
+                if fires(FaultKind::BitFlipMessage)
+                    && engine
+                        .corrupt_message_cell(step as u64 ^ 0x0B17_F117)
+                        .is_some()
+                {
+                    c.faults_injected += 1;
+                }
+                // Fail-stop site: a mover dies while draining its queues.
+                if fires(FaultKind::KillMover) {
+                    fault!();
+                }
+                engine.finalize_insertion_stats(&mut c);
+                // Mid-superstep cancellation point: the partial step is
+                // abandoned (values still hold the last completed barrier).
+                if config.cancelled() {
+                    faults += c.faults_injected;
+                    break 'run;
+                }
+                // Fail-stop site: a poisoned insert surfaces at finalization.
+                if fires(FaultKind::PoisonInsert) {
+                    fault!();
+                }
+                // Group checksum audit between the insert barrier and
+                // processing. Rung 1: quarantine the mismatched groups and
+                // regenerate only them.
+                if let Some(img) = image.as_ref().filter(|_| integ.audits_messages()) {
+                    integ.stats.group_checks += 1;
+                    let bad = engine.audit_message_groups();
+                    if !bad.is_empty() {
+                        integ.stats.group_detections += bad.len() as u64;
+                        integ.stats.quarantined_groups += bad.len() as u64;
+                        engine.reset_message_groups(&bad);
+                        engine.regenerate_groups(&bad, &img.values, &img.flags);
+                        engine.finalize_insertion_stats(&mut c);
+                        if !engine.audit_message_groups().is_empty() {
+                            fault!();
+                        }
+                        integ.stats.group_heals += bad.len() as u64;
+                    }
+                }
+            } else {
+                let assign = l.assign.expect("a rank with peers needs an assignment");
+                c.remote_before_combine = remote.len() as u64;
+                // Bucket by destination rank (generation order preserved
+                // within a bucket), then combine per link ("the combination
+                // result is sent to the other device as a single MPI
+                // message").
+                let mut buckets: Vec<Vec<WireMsg<P::Msg>>> =
+                    (0..eps.len()).map(|_| Vec::new()).collect();
+                for msg in remote {
+                    buckets[bucket_of[assign[msg.dst as usize] as usize]].push(msg);
+                }
+                let mut outgoing: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
+                for b in buckets {
+                    let (combined, _) = combine_messages::<P::Msg, P::Reduce>(b);
+                    c.remote_after_combine += combined.len() as u64;
+                    outgoing.push(combined);
+                }
+                // Arm injected link faults before exchanging. A partition is
+                // armed by the lower end of the link (fire-once, so exactly
+                // one side arms) and remembered so the resulting drop is
+                // attributed to the partition, not a generic exchange fault.
+                let mut partitioned: Option<usize> = None;
+                if let Some(inj) = &config.fault_plan {
+                    if inj.fire(step as u64, FaultKind::DropExchange, dev) {
+                        eps[0].inject_fault();
+                    }
+                    for ep in &eps {
+                        if ep.peer > rank
+                            && inj.fire(
+                                step as u64,
+                                FaultKind::partition_link(dev, ep.peer as u8),
+                                0,
+                            )
+                        {
+                            ep.inject_fault();
+                            partitioned = Some(ep.peer);
+                        }
+                    }
+                }
+                let x0 = Instant::now();
+                let xspan = tracer.span(Phase::Exchange, step as u32);
+                let mut incoming_all: Vec<Vec<WireMsg<P::Msg>>> = Vec::with_capacity(eps.len());
+                let mut fail: Option<Exit> = None;
+                // Frame integrity (when configured) seals, verifies and heals
+                // corrupt frames with a bounded verdict-synced re-exchange;
+                // with integrity off this is the plain lock-step exchange.
+                for (ep, out) in eps.iter().zip(outgoing) {
+                    let bytes_out = wire_bytes::<P::Msg>(out.len());
+                    let res = framed_exchange(
+                        ep,
+                        out,
+                        bytes_out,
+                        my_any,
+                        prev_adv,
+                        deadline,
+                        step as u64,
+                        dev,
+                        config.integrity,
+                        config.fault_plan.as_ref(),
+                        &mut integ.stats,
+                    );
+                    match res {
+                        Ok((incoming, peer, xstats)) => {
+                            peer_any |= peer.any_active;
+                            peer_times.push((ep.peer, peer.step_time));
+                            c.comm_bytes += xstats.bytes_sent + xstats.bytes_recv;
+                            comm_time += xstats.sim_time;
+                            incoming_all.push(incoming);
+                        }
+                        Err(e) => {
+                            fail = Some(match e {
+                                ExchangeError::Dropped(_) if partitioned == Some(ep.peer) => {
+                                    Exit::LinkPartitioned(step, dev, ep.peer as u8)
+                                }
+                                ExchangeError::Dropped(_) => Exit::ExchangeDrop(step),
+                                ExchangeError::Timeout(t) => Exit::PeerTimeout(step, t.waited_ms),
+                                ExchangeError::PeerDead => Exit::PeerDead(step),
+                            });
+                            break;
+                        }
+                    }
+                }
+                drop(xspan);
+                config.record_hist(HistKind::ExchangeRttUs, x0.elapsed().as_micros() as u64);
+                hb.tick();
+                hb_count += 1;
+                if let Some(f) = fail {
+                    exit = f;
+                    break 'run;
+                }
+                // Insert received messages (per peer, ascending).
+                let _i = tracer.span(Phase::Insert, step as u32);
+                for incoming in &incoming_all {
+                    engine.absorb_remote(incoming, &mut c);
+                }
+                engine.finalize_insertion_stats(&mut c);
             }
-            // Insert received messages (per peer, ascending).
-            let _i = tracer.span(Phase::Insert, step as u32);
-            for incoming in &incoming_all {
-                engine.absorb_remote(incoming, &mut c);
+            {
+                let _p = tracer.span(Phase::Process, step as u32);
+                engine.process(&mut c);
             }
-            engine.finalize_insertion_stats(&mut c);
-        }
-        {
-            let _p = tracer.span(Phase::Process, step as u32);
-            engine.process(&mut c);
-        }
-        {
-            let _u = tracer.span(Phase::Update, step as u32);
-            engine.update(&mut c);
-        }
+            {
+                let _u = tracer.span(Phase::Update, step as u32);
+                engine.update(&mut c);
+            }
+            // App invariant audit (the semantic safety net). A violation is
+            // rung 2: restore the barrier image and replay the whole step
+            // once. A bit-identical replay means the invariant fired on
+            // clean data (a false positive) and the result stands; a replay
+            // that differs and still violates it is a fault.
+            if let (Some(b), Some(img)) = (layers, &image) {
+                let stride = integ.app_stride(step);
+                let violated =
+                    |v: &[_]| l.program.audit_step(step, &img.values, v, stride).is_some();
+                if let Some(first) = suspect.take() {
+                    if b.encode(&engine.values) == first {
+                        integ.stats.false_positive_audits += 1;
+                    } else if violated(&engine.values) {
+                        fault!();
+                    }
+                } else if integ.audits_app(step) {
+                    integ.stats.audits_run += 1;
+                    if violated(&engine.values) {
+                        integ.stats.audit_violations += 1;
+                        integ.stats.step_replays += 1;
+                        suspect = Some(b.encode(&engine.values));
+                        engine.restore(img.values.clone(), &img.flags);
+                        faults += c.faults_injected;
+                        continue;
+                    }
+                }
+            }
+            break (c, my_any);
+        };
         hb.tick();
         hb_count += 1;
         c.heartbeats = hb_count;
@@ -526,17 +667,18 @@ fn rank_loop<P: VertexProgram>(
 
         // The barrier after update is the consistency point: snapshot the
         // state step `step + 1` will start from.
-        if let Some(write) = l.checkpoint {
+        if let Some(b) = l.barrier {
             if config.recovery.is_checkpoint_step(step as u64 + 1) {
                 let ck0 = Instant::now();
                 let _ck = tracer.span(Phase::Checkpoint, step as u32);
-                write(rank, &engine, step, &mut c);
+                b.checkpoint(rank, &engine, step, &mut c);
                 config.record_hist(
                     HistKind::CheckpointWriteUs,
                     ck0.elapsed().as_micros() as u64,
                 );
             }
         }
+        faults += c.faults_injected;
         steps.push(StepReport::new(step, times, comm_time, t0, c));
 
         // Global termination: nobody generated messages this superstep.
@@ -546,6 +688,10 @@ fn rank_loop<P: VertexProgram>(
         if straggler.is_some_and(|f| consec_slow >= f.rebalance_after) {
             exit = Exit::Rebalance(step);
             break 'run;
+        }
+        // The barrier after update is the next step's reference state.
+        if let (Some(b), Some(img)) = (layers, image.as_mut()) {
+            *img = b.capture(&engine);
         }
         step += 1;
     }
@@ -562,7 +708,8 @@ fn rank_loop<P: VertexProgram>(
         exit,
         slowed,
         sim_adv_total,
-        integ,
+        integ: integ.stats,
+        faults,
         wall: wall_start.elapsed().as_secs_f64(),
         detect_ms: None,
         _keep_alive: keep_alive,

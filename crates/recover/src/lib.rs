@@ -43,6 +43,6 @@ pub mod store;
 pub use failover::{FailoverConfig, FailoverPolicy, FailoverStats};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 pub use integrity::{IntegrityMode, IntegrityStats, IntegritySwitch};
-pub use policy::{latest_valid_snapshot, RecoveryPolicy, RecoveryStats};
+pub use policy::{RecoveryPolicy, RecoveryStats};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use store::{CheckpointStore, DirStore, MemStore};

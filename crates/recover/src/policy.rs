@@ -7,9 +7,6 @@
 //! degrades gracefully to sequential execution from the last good barrier
 //! instead of failing the whole computation.
 
-use crate::snapshot::Snapshot;
-use crate::store::CheckpointStore;
-
 /// Tunable recovery knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryPolicy {
@@ -110,44 +107,9 @@ impl RecoveryStats {
     }
 }
 
-/// Walk the store newest-first and return the first snapshot that decodes
-/// and checksums cleanly, counting rejected ones into `stats`. Returns
-/// `None` when no valid snapshot exists (recovery then restarts from
-/// superstep 0).
-pub fn latest_valid_snapshot(
-    store: &dyn CheckpointStore,
-    stats: &mut RecoveryStats,
-) -> Option<Snapshot> {
-    for step in store.list().into_iter().rev() {
-        match store.load(step) {
-            Err(_) => {
-                stats.corrupt_snapshots_rejected += 1;
-            }
-            Ok(bytes) => match Snapshot::decode(&bytes) {
-                Ok(snap) => return Some(snap),
-                Err(_) => {
-                    stats.corrupt_snapshots_rejected += 1;
-                }
-            },
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::MemStore;
-
-    fn snap(step: u64) -> Snapshot {
-        Snapshot {
-            superstep: step,
-            app: "t".into(),
-            value_size: 4,
-            values: vec![0; 8],
-            active: vec![1, 0],
-        }
-    }
 
     #[test]
     fn backoff_is_exponential_and_capped() {
@@ -179,28 +141,6 @@ mod tests {
             ..Default::default()
         };
         assert!(!off.is_checkpoint_step(3));
-    }
-
-    #[test]
-    fn latest_valid_skips_corrupt_newest() {
-        let mut store = MemStore::new();
-        store.save(2, &snap(2).encode()).unwrap();
-        store.save(4, &snap(4).encode()).unwrap();
-        // Corrupt the newest snapshot.
-        store.bytes_mut(4).unwrap()[10] ^= 0xFF;
-        let mut stats = RecoveryStats::default();
-        let got = latest_valid_snapshot(&store, &mut stats).unwrap();
-        assert_eq!(got.superstep, 2);
-        assert_eq!(stats.corrupt_snapshots_rejected, 1);
-    }
-
-    #[test]
-    fn latest_valid_none_when_all_corrupt() {
-        let mut store = MemStore::new();
-        store.save(1, b"junk").unwrap();
-        let mut stats = RecoveryStats::default();
-        assert!(latest_valid_snapshot(&store, &mut stats).is_none());
-        assert_eq!(stats.corrupt_snapshots_rejected, 1);
     }
 
     #[test]

@@ -33,6 +33,12 @@ SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 PHIGRAPH=./target/release/phigraph
 "$PHIGRAPH" generate gnm "$SMOKE_DIR/g.bin" --scale tiny --seed 7 >/dev/null
+# A reader that closes the pipe early must not fail the CLI. Plain sh has
+# no pipefail, so phigraph's own exit status is captured inside the pipe.
+{ st=0; "$PHIGRAPH" info "$SMOKE_DIR/g.bin" || st=$?; echo "$st" > "$SMOKE_DIR/info.status"; } \
+    | head -1 >/dev/null
+test "$(cat "$SMOKE_DIR/info.status")" -eq 0 \
+    || { echo "phigraph info exited nonzero into a closed pipe" >&2; exit 1; }
 "$PHIGRAPH" run sssp "$SMOKE_DIR/g.bin" --engine pipe \
     --trace-out "$SMOKE_DIR/trace.json" --trace-format chrome >/dev/null
 grep -q '"thread_name"' "$SMOKE_DIR/trace.json"
@@ -169,7 +175,6 @@ WANT="$("$PHIGRAPH" run bfs "$SMOKE_DIR/g.bin" --checksum | sed -n 's/^checksum=
 grep '"id": "q1"' "$SMOKE_DIR/serve_out.jsonl" | grep -q "$WANT"
 grep -q 'phigraph_serve_jobs_completed{tenant="gold"} 3' "$SMOKE_DIR/serve.prom"
 grep -q 'phigraph_serve_jobs_completed{tenant="bronze"} 2' "$SMOKE_DIR/serve.prom"
-# (capture, then grep: grep -q closing the pipe early would EPIPE the CLI)
 "$PHIGRAPH" report "$SMOKE_DIR/serve_report.json" > "$SMOKE_DIR/serve_report.txt"
 grep -q "per-tenant decomposition" "$SMOKE_DIR/serve_report.txt"
 grep -q "gold" "$SMOKE_DIR/serve_report.txt"

@@ -372,6 +372,33 @@ fn retry_policy_replays_a_dropped_exchange_bit_identically() {
     assert_eq!(out.report.device, "CPU-MIC");
 }
 
+/// Fault accounting on the fabric counts every injected fault, including
+/// one whose step the rollback discards: rank 0's snapshot 4 is corrupted
+/// during step 3, then rank 0 drops an exchange at step 5. The rollback
+/// rejects snapshot 4 for the common snapshot 2, and both faults are on
+/// the books, as the single-device driver counts the same plan.
+#[test]
+fn retry_policy_counts_a_corrupt_snapshot_the_rollback_discards() {
+    let g = sweep_graph(83);
+    let p = even_partition(&g);
+    let app = Sssp { source: 0 };
+    let plain = [
+        EngineConfig::locking().with_checkpoint_every(2),
+        EngineConfig::locking().with_checkpoint_every(2),
+    ];
+    let baseline = run_hetero(&app, &g, &p, specs(), plain.clone(), PcieLink::gen2_x16());
+    let fcfg = FailoverConfig::default().with_policy(FailoverPolicy::Retry);
+    let plan = FaultPlan::new()
+        .with(3, FaultKind::CorruptCheckpoint, 0)
+        .with(5, FaultKind::DropExchange, 0);
+    let configs = plain.map(|c| c.with_backoff_ms(0));
+    let out = run_failover(&app, &g, &p, configs, &fcfg, Some(plan.injector()));
+    assert_eq!(out.values, baseline.values);
+    let r = out.report.recovery;
+    assert_eq!(r.corrupt_snapshots_rejected, 1, "{r:?}");
+    assert_eq!(r.faults_injected, 2, "{r:?}");
+}
+
 /// The same rollback on a 3-rank fabric: rank 1 drops its first link (to
 /// rank 0), rank 2 observes the dead fabric, and all three retry together.
 #[test]

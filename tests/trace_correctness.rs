@@ -286,23 +286,38 @@ fn phases_on(snap: &phigraph_trace::TraceSnapshot, name: &str) -> Vec<phigraph_t
 
 /// A single device is the one-rank case of the rank loop: its rank-level
 /// spans sit on one `dev0` track, and with no peers there is no exchange
-/// span, no rank-level insert span and no exchange round-trip sample.
+/// span, no rank-level insert span and no exchange round-trip sample. The
+/// recovering driver's one-rank launch keeps that shape and adds its
+/// barrier snapshots as checkpoint spans.
 #[test]
 fn single_device_trace_is_one_rank_without_exchange() {
+    use phigraph_core::engine::run_recoverable;
+    use phigraph_recover::MemStore;
     use phigraph_trace::{HistKind, Phase};
     let g = graph();
-    for (label, cfg) in [
-        ("lock", EngineConfig::locking()),
-        ("pipe", EngineConfig::pipelined().with_host_threads(2)),
+    for (label, mode, cfg) in [
+        ("lock", "lock", EngineConfig::locking()),
+        (
+            "pipe",
+            "pipe",
+            EngineConfig::pipelined().with_host_threads(2),
+        ),
+        (
+            "recoverable",
+            "lock",
+            EngineConfig::locking().with_checkpoint_every(2),
+        ),
     ] {
         let trace = Trace::new(TraceLevel::Phase);
-        let out = run_single(
-            &Sssp { source: 3 },
-            &g,
-            DeviceSpec::xeon_e5_2680(),
-            &cfg.with_trace(trace.clone()),
-        );
-        assert_eq!(out.report.mode, label);
+        let cfg = cfg.with_trace(trace.clone());
+        let (app, spec) = (Sssp { source: 3 }, DeviceSpec::xeon_e5_2680());
+        let recoverable = label == "recoverable";
+        let out = if recoverable {
+            run_recoverable(&app, &g, spec, &cfg, &mut MemStore::new(), false)
+        } else {
+            run_single(&app, &g, spec, &cfg)
+        };
+        assert_eq!(out.report.mode, mode, "{label}");
         let snap = trace.snapshot();
         let ranks: Vec<&str> = snap
             .threads
@@ -312,12 +327,16 @@ fn single_device_trace_is_one_rank_without_exchange() {
             .collect();
         assert_eq!(ranks, ["dev0"], "{label}");
         let dev0 = phases_on(&snap, "dev0");
-        for p in [
+        let mut want = vec![
             Phase::Superstep,
             Phase::Generate,
             Phase::Process,
             Phase::Update,
-        ] {
+        ];
+        if recoverable {
+            want.push(Phase::Checkpoint);
+        }
+        for p in want {
             assert!(dev0.contains(&p), "{label}: {p:?} missing from {dev0:?}");
         }
         assert!(!dev0.contains(&Phase::Insert), "{label}: {dev0:?}");
